@@ -55,6 +55,7 @@ def _print_engine_stats(checker: Checker) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from .batch import check_many
+    from .batch.pipeline import effective_jobs
     from .study.report import engine_stats_table
 
     jobs = max(1, args.jobs)
@@ -71,9 +72,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"cache directory unusable: {exc}", file=sys.stderr)
         return EXIT_STATIC
     if report.jobs_degraded:
+        # the core-count clamp, or an in-process run (one file, no
+        # fork, or a worker died)
+        clamped = report.jobs == effective_jobs(report.jobs_requested)
         print(
             f"note: --jobs {report.jobs_requested} degraded to "
-            f"{report.jobs} (cpu count)",
+            f"{report.jobs} ({'cpu count' if clamped else 'in-process'})",
             file=sys.stderr,
         )
     status = 0

@@ -16,9 +16,13 @@ pickling), so the CLI's single-process behaviour — including the
 process-wide shared engine and its ``--stats`` counters — is
 unchanged.
 
-Fork is the only start method used: workers inherit the parsed module
-cache and warm intern tables for free.  Platforms without fork fall
-back to in-process execution with identical results.
+:class:`WorkerPool` is the only code in the package that forks.  Its
+:meth:`WorkerPool.map` serves three callers — one-shot ``check_many``,
+the daemon's resident pool and the fuzz runner's shards — with one
+rule: if a worker dies mid-map, the pool is torn down and the caller
+re-runs the tasks in-process.  Fork is the only start method used:
+workers inherit the parsed module cache and warm intern tables for
+free.  Platforms without fork run in-process with identical results.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..checker.check import Checker
 from ..checker.errors import CheckError
@@ -230,19 +234,20 @@ def _merge_outcomes(
 
 
 class WorkerPool:
-    """A resident fork pool for repeated batch checks.
+    """The one fork pool: resident workers and a worker-death-safe map.
 
-    ``check --jobs`` forks a fresh pool per invocation; a long-running
-    service would pay that fork (and engine cold-start) on every
-    request.  A ``WorkerPool`` instead keeps the forked workers alive
-    across any number of :meth:`check_many` calls.  Creation is lazy:
-    the pool forks on first use, so workers inherit whatever the parent
-    engine has already learned, and each worker's shared engine keeps
-    warming across requests (sound: the engine caches are
-    content-addressed, so reuse can never change a verdict).
+    ``check --jobs`` and ``fuzz --shards`` open a pool for one call; a
+    long-running service instead keeps one alive across any number of
+    :meth:`check_many` calls, so it pays the fork (and engine
+    cold-start) once.  Creation is lazy: the pool forks on first use,
+    so workers inherit whatever the parent engine has already learned,
+    and each worker's shared engine keeps warming across requests
+    (sound: the engine caches are content-addressed, so reuse can never
+    change a verdict).
 
-    On platforms without ``fork`` — or with ``jobs=1`` — every call
-    transparently degrades to the in-process path with identical
+    Every forked map goes through :meth:`map`, which returns ``None``
+    when it cannot run (``jobs=1``, no ``fork``) or when a worker died
+    mid-map; callers then run the same tasks in-process with identical
     results.
     """
 
@@ -254,7 +259,6 @@ class WorkerPool:
         # behaviour, so the caller's count is honoured as-is (the
         # one-shot ``check_many`` path is where oversubscription
         # degrades).
-        self.jobs_requested = jobs
         self.jobs = jobs
         self.cache_dir = cache_dir
         self._pool = None
@@ -273,52 +277,55 @@ class WorkerPool:
     def check_many(self, paths: Sequence[str]) -> BatchReport:
         """Check every module on the resident workers, in input order."""
         indexed = list(enumerate(paths))
-        pool = self._ensure() if len(indexed) > 1 else None
         self.batches += 1
-        if pool is None:
-            return check_many(
-                paths, jobs=1, cache_dir=self.cache_dir, logic=Checker().logic
+        outcomes = None
+        if len(indexed) > 1:
+            chunks = _deal_chunks(indexed, self.jobs)
+            # _run_chunk_warm is resolved here, at call time: fault
+            # injection swaps the module global.
+            outcomes = self.map(
+                _run_chunk_warm, [(chunk, self.cache_dir) for chunk in chunks]
             )
-        chunks = _deal_chunks(indexed, self.jobs)
-        outcomes = self._map_resilient(
-            [(chunk, self.cache_dir) for chunk in chunks]
-        )
         if outcomes is None:
-            # A worker died mid-batch.  multiprocessing.Pool.map would
-            # block forever here (the dead worker's chunk is never
-            # resubmitted), which under the daemon wedges the single
-            # engine lane for good.  The pool has already been torn
-            # down; re-run the whole batch in-process — slow but
-            # sound, since chunk runners are idempotent and nothing
-            # from the broken pool was merged.
+            # one module, no pool, or a worker died (pool already torn
+            # down): the whole batch in-process, nothing merged yet
             return check_many(
                 paths, jobs=1, cache_dir=self.cache_dir, logic=Checker().logic
             )
         return _merge_outcomes(indexed, outcomes, self.cache_dir, jobs=self.jobs)
 
-    def _map_resilient(self, tasks):
-        """``pool.map`` with a liveness watchdog; None if the pool broke.
+    def map(self, fn: Callable, tasks: Sequence) -> Optional[list]:
+        """``pool.map(fn, tasks)`` on the workers; None if it cannot finish.
 
-        ``map_async`` + polling: between polls the worker processes are
-        checked for liveness *and* identity — Pool's supervisor thread
-        quietly replaces a dead worker (so "all alive" can hold again
-        moments later), but the replacement never inherits the lost
-        chunk, so a changed PID set means the in-flight map can no
-        longer complete.  Detection tears the pool down (fresh workers
-        next batch) and signals the caller to fall back.
+        Returns the results in task order, or ``None`` when there is no
+        pool (``jobs=1``, no ``fork``) or a worker died mid-map — the
+        caller then runs the tasks in-process.  An exception raised by
+        ``fn`` propagates, as ``pool.map``'s does, and leaves the pool
+        usable.
+
+        A plain ``pool.map`` blocks forever when a worker dies: Pool's
+        supervisor thread replaces the dead worker, but the replacement
+        never inherits the lost task.  So this is ``map_async`` plus a
+        watchdog: between polls the worker processes are checked for
+        liveness *and* identity (a replaced worker restores "all alive"
+        moments later, but changes the PID set).  Detection tears the
+        pool down — fresh workers on the next call — before returning
+        ``None``; nothing from the broken map has been handed back, and
+        ``fn`` must be safe to re-run.
         """
-        pool = self._pool
-        result = pool.map_async(_run_chunk_warm, tasks)
+        pool = self._ensure()
+        if pool is None:
+            return None
+        # PIDs before submitting: a worker that dies on its first task
+        # may be replaced before map_async returns
         baseline = {worker.pid for worker in pool._pool}
+        result = pool.map_async(fn, tasks)
         while not result.ready():
             result.wait(0.05)
-            workers = list(pool._pool)
-            alive = {w.pid for w in workers if w.is_alive()}
+            alive = {w.pid for w in list(pool._pool) if w.is_alive()}
             if alive != baseline:
                 self.close()
                 return None
-        # ready: every chunk landed (or raised) — the pool is healthy
-        # and a task exception propagates exactly as pool.map's would
         return result.get()
 
     def close(self) -> None:
@@ -343,7 +350,6 @@ def check_many(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     logic: Optional[Logic] = None,
-    parallel: Optional[bool] = None,
 ) -> BatchReport:
     """Check every module; returns verdicts in input order.
 
@@ -354,20 +360,24 @@ def check_many(
     stats and flushes the combined cache delta once.  A caller-supplied
     ``logic`` cannot cross the fork boundary (workers need independent
     engines), so supplying one forces the in-process path — a custom
-    engine is never silently swapped for the default.
+    engine is never silently swapped for the default.  Without
+    ``fork``, or if a worker dies, a ``jobs>1`` call runs in-process
+    with the same verdicts and reports ``jobs=1``.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     requested = jobs
     jobs = effective_jobs(jobs)
     indexed = list(enumerate(paths))
-    use_processes = (
-        jobs > 1 and logic is None and len(indexed) > 1 and _fork_available()
-    )
-    if parallel is not None:
-        use_processes = use_processes and parallel
+    outcomes = None
+    if jobs > 1 and logic is None and len(indexed) > 1:
+        chunks = _deal_chunks(indexed, jobs)
+        with WorkerPool(len(chunks)) as pool:
+            outcomes = pool.map(_run_chunk, [(chunk, cache_dir) for chunk in chunks])
 
-    if not use_processes:
+    if outcomes is not None:
+        report = _merge_outcomes(indexed, outcomes, cache_dir, jobs=jobs)
+    else:
         if logic is not None:
             engine = logic
         elif requested > 1:
@@ -391,19 +401,7 @@ def check_many(
             if cache is not None:
                 engine.detach_persistent_cache()
         stats = EngineStats().merge(engine.stats)
-        if requested > jobs:
-            hits = stats.rule_hits
-            hits["batch.jobs-degraded"] = hits.get("batch.jobs-degraded", 0) + 1
-        return BatchReport(
-            verdicts, stats, jobs=1,
-            cache_entries_written=written, jobs_requested=requested,
-        )
-
-    chunks = _deal_chunks(indexed, jobs)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=len(chunks)) as pool:
-        outcomes = pool.map(_run_chunk, [(chunk, cache_dir) for chunk in chunks])
-    report = _merge_outcomes(indexed, outcomes, cache_dir, jobs=jobs)
+        report = BatchReport(verdicts, stats, jobs=1, cache_entries_written=written)
     report.jobs_requested = requested
     if requested > jobs:
         hits = report.stats.rule_hits

@@ -114,11 +114,6 @@ class Budget:
     def expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
 
-    def remaining_ms(self) -> Optional[float]:
-        if self.deadline is None:
-            return None
-        return max(0.0, (self.deadline - time.monotonic()) * 1000.0)
-
     def elapsed_ms(self) -> float:
         return (time.monotonic() - self.started) * 1000.0
 

@@ -46,8 +46,7 @@ def suicidal_pool_workers():
     an OOM kill would, *during* the map, which is the window the
     pool's PID watchdog guards.  (Killing an idle worker from outside
     instead can poison the pool's shared task-queue lock — a failure
-    ``multiprocessing`` cannot recover from and not the seam under
-    test.)
+    the pool cannot recover from and not the seam under test.)
     """
     original = pipeline._run_chunk_warm
     pipeline._run_chunk_warm = _suicidal_chunk_runner

@@ -5,9 +5,10 @@ Program ``i`` is a pure function of ``(seed, i)`` (see
 indices ``i ≡ k (mod S)``, and aggregation sorts everything by program
 index — so the merged :class:`FuzzReport` (and its :meth:`digest`) is
 byte-for-byte identical for any shard count and for multi-process vs
-in-process execution.  Shards run as forked worker processes when the
-platform provides ``fork``; otherwise they run sequentially in-process
-with identical results.
+in-process execution.  Shards run as forked worker processes through
+the batch layer's :class:`~repro.batch.WorkerPool` when the platform
+provides ``fork``; otherwise — or if a worker dies — they run
+sequentially in-process with identical results.
 
 Each shard builds one :class:`~repro.logic.prove.Logic` for its
 checker factory, so the PR 1 incremental proof engine is exercised
@@ -21,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,6 +40,7 @@ from .oracles import (
     solver_oracle_factories,
 )
 from .shrink import shrink
+from ..batch.pipeline import WorkerPool
 from ..checker.errors import CheckError
 from ..interp.eval import run_program
 from ..interp.values import RacketError, UnsafeMemoryError
@@ -306,13 +308,6 @@ def _shard_worker(args: Tuple[FuzzConfig, int]) -> ShardResult:
     return run_shard(config, shard)
 
 
-def _fork_available() -> bool:
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:
-        return False
-
-
 def run_fuzz(
     config: FuzzConfig,
     factory: Optional[CheckerFactory] = None,
@@ -323,24 +318,24 @@ def run_fuzz(
     ``factory`` forces an in-process (sequential) run — injected-bug
     demos pass the buggy factory directly, and worker processes could
     not receive it anyway (they re-resolve from ``config.checker``).
-    ``parallel`` overrides the default "processes iff >1 shard and
-    fork is available"; it is ignored when a factory is supplied.
+    ``parallel`` overrides the default "processes iff >1 shard"; it is
+    ignored when a factory is supplied.  Shards fork through
+    :class:`~repro.batch.WorkerPool` (one worker per shard, at most one
+    per core); without ``fork``, on one core, or if a worker dies, they
+    run in-process instead — a shard is a pure function of
+    ``(config, k)``, so the digest is the same either way.
     """
     if factory is not None:
         parallel = False
     elif parallel is None:
         parallel = config.shards > 1
-    # fork is the only start method workers support (they inherit the
-    # config and warm tables); without it, degrade to in-process shards
-    parallel = bool(parallel) and _fork_available()
-    shards: List[ShardResult]
+    shards: Optional[List[ShardResult]] = None
     if parallel:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(config.shards, ctx.cpu_count() or 1)) as pool:
+        with WorkerPool(min(config.shards, os.cpu_count() or 1)) as pool:
             shards = pool.map(
                 _shard_worker, [(config, k) for k in range(config.shards)]
             )
-    else:
+    if shards is None:
         shards = [run_shard(config, k, factory) for k in range(config.shards)]
 
     features: Dict[str, int] = {}

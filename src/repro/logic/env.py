@@ -122,14 +122,6 @@ class EnvKey:
         return f"EnvKey(0x{self._hash & 0xFFFFFFFF:08x})"
 
 
-def _set_hash(ids) -> int:
-    """Order-independent hash of a set of hashables (XOR-fold)."""
-    acc = 0
-    for element in ids:
-        acc ^= hash(element)
-    return acc
-
-
 class Env:
     """A hybrid environment; extended via ``Logic.extend`` only."""
 
@@ -383,11 +375,6 @@ class Env:
     def mark_inconsistent(self) -> None:
         self.inconsistent = True
         self._fingerprint = None
-
-    def merge_alias(self, left: Obj, right: Obj) -> Obj:
-        """Merge two alias classes; returns the representative."""
-        rep, _ = self.merge_alias_with_changes(left, right)
-        return rep
 
     def merge_alias_with_changes(self, left: Obj, right: Obj) -> Tuple[Obj, Tuple[Obj, ...]]:
         """Merge two alias classes; also report re-canonicalisation work.

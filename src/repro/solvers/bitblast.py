@@ -85,16 +85,6 @@ class BitBlaster:
     def gate_iff(self, a: int, b: int) -> int:
         return -self.gate_xor(a, b)
 
-    def gate_ite(self, cond: int, then_lit: int, else_lit: int) -> int:
-        c = self.fresh()
-        self.clauses += [
-            [-c, -cond, then_lit],
-            [-c, cond, else_lit],
-            [c, -cond, -then_lit],
-            [c, cond, -else_lit],
-        ]
-        return c
-
     def gate_majority(self, a: int, b: int, c: int) -> int:
         out = self.fresh()
         self.clauses += [

@@ -238,12 +238,12 @@ BUG_CATALOG: Tuple[BugRecord, ...] = (
         oracle="farm-audit",
         symptom=(
             "A worker process killed mid-batch (OOM kill, segfault in a "
-            "native extension) left multiprocessing.Pool.map blocked "
+            "native extension) left the pool's Pool.map blocked "
             "forever; under the daemon this wedged the single engine "
             "lane, turning one lost worker into a dead service."
         ),
         root_cause=(
-            "multiprocessing.Pool.map has no liveness handling on "
+            "The standard library's Pool.map has no liveness handling on "
             "Python 3.11: a dead worker's chunk is never resubmitted "
             "and the MapResult never completes.  WorkerPool.map now "
             "uses map_async with a liveness watchdog: if any worker "
@@ -323,5 +323,30 @@ BUG_CATALOG: Tuple[BugRecord, ...] = (
         repro="CheckingServer.start(); time stop()  # 5.2s before, 0.2s after",
         first_seen="daemon seam audit, PR 7 (test-duration profile)",
         regression_test="tests/test_server.py::TestStopLatency::test_stop_completes_promptly",
+    ),
+    BugRecord(
+        bug_id="RTR-007",
+        title="One-shot check --jobs and fuzz --shards hang if a fork worker dies",
+        category="batch",
+        status="fixed",
+        oracle="farm-audit",
+        symptom=(
+            "With a chunk runner that SIGKILLs its own worker, "
+            "check_many(paths, jobs=2) and run_fuzz with shards=2 never "
+            "returned (killed by a 20s timeout), while the resident "
+            "WorkerPool survived the same fault."
+        ),
+        root_cause=(
+            "The RTR-003 fix lived only in WorkerPool; the one-shot "
+            "check_many and the fuzz runner each built their own fork "
+            "pool and called plain Pool.map, which waits forever on a "
+            "dead worker's lost task.  Both now map through "
+            "WorkerPool.map, the package's one fork site: a dead worker "
+            "tears the pool down and the tasks re-run in-process (same "
+            "verdicts, same fuzz digest)."
+        ),
+        repro="patch pipeline._run_chunk to SIGKILL itself; check_many(paths, jobs=2)",
+        first_seen="fork-site audit (one-shot pools vs WorkerPool)",
+        regression_test="tests/test_pipeline_worker_death.py::test_one_shot_check_many_survives_worker_death",
     ),
 )

@@ -1,11 +1,13 @@
-"""RTR-003: the resident worker pool must survive a dying worker.
+"""RTR-003 / RTR-007: every fork pool must survive a dying worker.
 
 On Python 3.11, ``multiprocessing.Pool.map`` never completes if a
 worker process dies mid-task — the dead worker's chunk is silently
-lost.  Under the daemon that wedged the single engine lane forever.
-``WorkerPool._map_resilient`` detects the death (liveness + PID-set
-watchdog), tears the broken pool down, and re-runs the batch
-in-process.
+lost.  Under the daemon that wedged the single engine lane forever
+(RTR-003); the one-shot ``check_many(jobs>1)`` and sharded
+``run_fuzz`` paths, which built their own pools, hung the same way
+(RTR-007).  All three now map through ``WorkerPool.map``, which
+detects the death (liveness + PID-set watchdog), tears the broken pool
+down, and lets the caller re-run the tasks in-process.
 
 The dying worker is injected by monkeypatching the chunk runner with a
 self-``SIGKILL``: fork workers inherit the patched module, so the
@@ -15,11 +17,14 @@ first pooled chunk kills its worker exactly the way an OOM kill would.
 import multiprocessing
 import os
 import signal
+import threading
 
 import pytest
 
 from repro.batch import pipeline
 from repro.batch.pipeline import WorkerPool
+from repro.fuzz import runner
+from repro.fuzz.runner import FuzzConfig, run_fuzz
 
 
 def _fork_available() -> bool:
@@ -37,6 +42,25 @@ pytestmark = pytest.mark.skipif(
 def _suicidal_chunk_runner(args):
     """Simulates an OOM-killed / segfaulted worker: dies mid-task."""
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _bounded(call, seconds=60):
+    """Run ``call`` in a daemon thread: a hung pool fails, not hangs."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # re-raised in the test thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds}s: pool hung"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 def _modules(tmp_path, count=4):
@@ -83,3 +107,22 @@ def test_healthy_pool_still_uses_workers(tmp_path):
         assert pool.alive  # no fallback triggered
         again = pool.check_many(paths)
         assert again.ok and pool.alive
+
+
+def test_one_shot_check_many_survives_worker_death(tmp_path, monkeypatch):
+    paths = _modules(tmp_path)
+    monkeypatch.setattr(pipeline, "_run_chunk", _suicidal_chunk_runner)
+    report = _bounded(lambda: pipeline.check_many(paths, jobs=2))
+    assert report.ok
+    assert [v.path for v in report.verdicts] == paths
+    assert multiprocessing.active_children() == []
+
+
+def test_sharded_fuzz_survives_worker_death(monkeypatch):
+    config = FuzzConfig(seed=1, count=4, shards=2)
+    expected = run_fuzz(config, parallel=False)
+    monkeypatch.setattr(runner, "_shard_worker", _suicidal_chunk_runner)
+    report = _bounded(lambda: run_fuzz(config))
+    assert report.programs == config.count
+    assert report.digest() == expected.digest()
+    assert multiprocessing.active_children() == []
