@@ -8,15 +8,29 @@ them.  A gate re-times the same spin on the current machine and scales
 the baseline by the ratio, so the comparison tracks "how much faster
 is this code" rather than "how fast is this box" — a slower CI runner
 lowers both sides of the inequality together.
+
+Every bench writes its measurements through :func:`write_run_artifact`
+into ``benchmark-results/run/``, which git ignores: a bench run never
+rewrites the tracked baselines beside it.
 """
 
 import json
 import time
 from pathlib import Path
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / (
-    "benchmark-results/perf_baseline.json"
-)
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmark-results"
+BASELINE_PATH = RESULTS_DIR / "perf_baseline.json"
+#: where each bench run's measurements land (untracked)
+RUN_DIR = RESULTS_DIR / "run"
+
+
+def write_run_artifact(name: str, results: dict) -> Path:
+    """Write one bench's ``results`` to ``benchmark-results/run/NAME``."""
+    RUN_DIR.mkdir(parents=True, exist_ok=True)
+    path = RUN_DIR / name
+    with open(path, "w") as handle:
+        json.dump(results, handle, indent=2)
+    return path
 
 
 def load_baseline() -> dict:

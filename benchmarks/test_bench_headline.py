@@ -13,10 +13,9 @@ for timer noise.
 """
 
 import json
-import os
 import time
 
-from perf_common import load_baseline, machine_scale
+from perf_common import load_baseline, machine_scale, write_run_artifact
 
 from repro.corpus.generator import build_all_libraries
 from repro.study.casestudy import analyze_instance
@@ -60,9 +59,7 @@ def test_bench_headline(benchmark, full_study, capsys):
         "machine_scale_vs_baseline": round(scale, 3),
         "speedup_vs_baseline": round(speedup_vs_baseline, 3),
     }
-    os.makedirs("benchmark-results", exist_ok=True)
-    with open("benchmark-results/headline_latency.json", "w") as handle:
-        json.dump(results, handle, indent=2)
+    write_run_artifact("headline_latency.json", results)
 
     with capsys.disabled():
         print()

@@ -11,14 +11,13 @@ the same generated corpus family the batch benchmarks use:
 * **warm** — one ``check`` request per module against a resident
   ``repro serve`` daemon over a unix socket, after a warm-up pass.
 
-p50/p95/mean land in ``benchmark-results/server_latency.json`` and the
+p50/p95/mean land in ``benchmark-results/run/server_latency.json`` and the
 §-style table (``repro.study.report.server_latency_table``) is printed.
 The assertion is conservative — warm median strictly below cold median
 — because interpreter start-up alone dwarfs a warm round-trip on any
 hardware.
 """
 
-import json
 import os
 import statistics
 import subprocess
@@ -26,6 +25,8 @@ import sys
 import time
 
 import pytest
+
+from perf_common import write_run_artifact
 
 import repro
 from repro.fuzz.gen import generate_program
@@ -115,9 +116,7 @@ def test_bench_server_latency(benchmark, corpus_paths, tmp_path, capsys):
         "warm": warm,
         "speedup_warm_over_cold_p50": round(speedup, 2),
     }
-    os.makedirs("benchmark-results", exist_ok=True)
-    with open("benchmark-results/server_latency.json", "w") as handle:
-        json.dump(results, handle, indent=2)
+    write_run_artifact("server_latency.json", results)
 
     with capsys.disabled():
         print()

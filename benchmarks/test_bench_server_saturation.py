@@ -15,7 +15,7 @@ claim stays honest:
 * **lanes** ∈ {1, N}: the same workload against a single-lane and a
   multi-lane daemon.
 
-The full matrix lands in ``benchmark-results/server_saturation.json``
+The full matrix lands in ``benchmark-results/run/server_saturation.json``
 (rendered by ``repro.study.report.server_saturation_table``) and CI
 uploads it next to the latency artifact.  The gate is
 hardware-tolerant: at every client count, multi-lane throughput must
@@ -25,13 +25,14 @@ and the *median* ratio across the client curve must clear the tighter
 more is asserted on a one-core box.
 """
 
-import json
 import os
 import statistics
 import threading
 import time
 
 import pytest
+
+from perf_common import write_run_artifact
 
 from repro.fuzz.gen import generate_program
 from repro.logic.prove import Logic
@@ -149,9 +150,7 @@ def test_bench_server_saturation(benchmark, corpus, tmp_path, capsys):
         "min_median_ratio_gate": MIN_MEDIAN_RATIO,
         "matrix": matrix,
     }
-    os.makedirs("benchmark-results", exist_ok=True)
-    with open("benchmark-results/server_saturation.json", "w") as handle:
-        json.dump(results, handle, indent=2)
+    write_run_artifact("server_saturation.json", results)
 
     with capsys.disabled():
         print()

@@ -5,7 +5,7 @@ ours are dual simplex / CDCL with Fourier-Motzkin / DPLL as the
 
 ``test_bench_solver_cores_artifact`` is the fast-vs-legacy shoot-out:
 it times both backends on the same checker-shaped workloads, writes
-``benchmark-results/solver_cores.json``, and gates the ratios (the
+``benchmark-results/run/solver_cores.json``, and gates the ratios (the
 stress shapes are where the incremental cores earn their keep; the
 tier-1 micro shape is where they must at least break even).
 """
@@ -14,6 +14,8 @@ import json
 import os
 import random
 import time
+
+from perf_common import write_run_artifact
 
 from repro.solvers.bitblast import BitBlaster
 from repro.solvers.linear import (
@@ -244,9 +246,7 @@ def test_bench_solver_cores_artifact(capsys):
             "legacy_us_per_goal": round(warm_legacy * 1e6, 3),
         },
     }
-    os.makedirs("benchmark-results", exist_ok=True)
-    with open("benchmark-results/solver_cores.json", "w") as handle:
-        json.dump(results, handle, indent=2)
+    write_run_artifact("solver_cores.json", results)
 
     with capsys.disabled():
         print()

@@ -259,7 +259,7 @@ def _write_campaign_json(summary, path: str) -> None:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .chaos import SCENARIOS, ChaosConfig, run_chaos
 
-    if getattr(args, "list", False):
+    if args.list:
         for name in SCENARIOS:
             print(name)
         return 0
@@ -292,14 +292,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.chaos:
-        # chaos mode reuses the fuzz seed so `fuzz --seed N --chaos`
-        # exercises recovery over the same generated workload slice
-        args.workload = min(max(2, args.count), 12)
-        args.scenario = None
-        args.jobs = max(2, args.shards)
-        args.list = False
-        return _cmd_chaos(args)
     if args.farm:
         return _cmd_fuzz_farm(args)
     from .fuzz import FuzzConfig, run_fuzz
@@ -425,7 +417,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=max(1, args.jobs),
         lanes=max(1, args.lanes),
         cache_dir=args.cache_dir,
-        group_max=max(1, args.group_max),
         max_queue_depth=max(0, args.max_queue_depth),
         default_deadline_ms=args.default_deadline_ms,
         hang_seconds=max(0.0, args.hang_seconds),
@@ -679,11 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--budget-seconds", type=float, default=None,
                       help="farm: wall-clock budget (stops early even "
                            "if --count programs remain)")
-    fuzz.add_argument("--chaos", action="store_true",
-                      help="chaos mode: run the seeded fault-injection "
-                           "scenarios (see 'repro chaos') over this "
-                           "campaign's generated workload instead of "
-                           "the differential oracles")
     fuzz.set_defaults(fn=_cmd_fuzz)
 
     profile = sub.add_parser(
@@ -728,8 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "affinity key)")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent proof-cache directory")
-    serve.add_argument("--group-max", type=int, default=16,
-                       help="max in-flight requests drained per engine group")
     serve.add_argument("--max-queue-depth", type=int, default=64,
                        help="bounded request queue; requests past the "
                             "cap are shed immediately with a retryable "

@@ -10,7 +10,7 @@ scenarios (:mod:`~repro.chaos.scenarios`) and a campaign runner
 
 Every scenario ends with the same three assertions: the daemon still
 answers, its verdicts equal a fresh engine's, and no connection is
-left waiting.  Drive it with ``repro chaos`` or ``repro fuzz --chaos``.
+left waiting.  Drive it with ``repro chaos``.
 """
 
 from .runner import ChaosConfig, ChaosReport, run_chaos

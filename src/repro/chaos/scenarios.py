@@ -121,7 +121,6 @@ class _Scenario:
         settings = dict(
             socket_path=self.socket_path,
             jobs=ctx.jobs,
-            group_max=8,
             hang_seconds=0.0,  # scenarios opt in explicitly
         )
         settings.update(config_overrides)
@@ -405,7 +404,7 @@ def scenario_reset_storm(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scen
 # ----------------------------------------------------------------------
 @_run("overload_shed")
 def scenario_overload_shed(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenario:
-    harness = _Scenario(ctx, "overload_shed", jobs=1, max_queue_depth=1, group_max=1)
+    harness = _Scenario(ctx, "overload_shed", jobs=1, max_queue_depth=1)
     server = harness.server
     # every theory consultation stalls 0.4s (cooperatively), so the lane
     # stays busy long enough for the burst below to overflow the queue

@@ -12,7 +12,8 @@ the type checker, at scale:
 * :mod:`repro.fuzz.coverage` — engine coverage vectors, the novelty
   corpus, and the coverage-guided family scheduler;
 * :mod:`repro.fuzz.farm`     — continuous campaigns against a live
-  ``repro serve`` daemon, with triage via :mod:`repro.study.bugs`.
+  ``repro serve`` daemon, with triage via :mod:`repro.study.bugs`;
+* :mod:`repro.fuzz.campaign` — the committed campaign mix of all modes.
 
 Entry points: ``python -m repro fuzz ...`` or :func:`run_fuzz` /
 :func:`repro.fuzz.farm.run_farm`.

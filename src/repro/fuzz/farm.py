@@ -5,7 +5,7 @@ The in-process campaign (:mod:`repro.fuzz.runner`) fuzzes the checker
 program (and optionally its ill-typed mutants) is submitted to a
 running ``repro serve`` daemon over the wire and the daemon's verdict
 is compared against a local reference checker — a divergence means the
-serving path (session store, group dedup, epoch guard, lane routing)
+serving path (session store, epoch guard, lane routing)
 changed an answer, which the daemon's core invariant says can never
 happen.
 

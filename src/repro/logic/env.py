@@ -66,7 +66,7 @@ class EnvKey:
 
     Captures the environment's per-category id sets (frozen from the
     moment of capture by the environment's copy-on-write discipline)
-    together with a hash precomputed from incrementally-maintained
+    together with a hash derived from incrementally-maintained
     accumulators, so taking and probing a fingerprint is O(1).  The
     sets are compared only on hash collision, which keeps cache answers
     *exact* (structural, never probabilistic).

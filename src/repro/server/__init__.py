@@ -11,8 +11,8 @@ cache (PR 3) were built for:
   ``repro serve``) that keeps **one** warm process-shared
   :class:`~repro.logic.prove.Logic` resident across requests, gives
   each connection an isolated, epoch-guarded session (module store +
-  REPL scope), checks identical in-flight sources once per group,
-  and fans heavy multi-file checks out to a resident
+  REPL scope), runs one request per lane turn, and fans heavy
+  multi-file checks out to a resident
   :class:`~repro.batch.pipeline.WorkerPool`.
 * :class:`~repro.server.client.Client` — a small blocking client
   (CLI: ``repro client``) speaking the newline-delimited JSON protocol

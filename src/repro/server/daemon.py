@@ -26,13 +26,14 @@ we wish we had:
   — and keeps it for the connection's lifetime, so session-scoped
   incremental re-checking keeps hitting the same warm module store and
   engine caches.
-* **Group draining** (per lane): identical in-flight ``check_text``
-  sources are checked once per group and multi-file ``check`` jobs
-  merge into one :class:`~repro.batch.pipeline.WorkerPool` dispatch.
-  The fork pool is shared by all lanes and serialized by a lock.
-  Theory goals need no cross-request coalescing: a lane is one thread,
-  so its engine's own dispatch stage (one ``entails_batch`` per
-  conjunction frame) is already the only crossing of each session.
+* **One request per lane turn**: a lane takes one queued job, runs
+  it to a response, then takes the next.  A multi-file ``check`` on a
+  ``--jobs`` daemon fans out to the resident
+  :class:`~repro.batch.pipeline.WorkerPool`, which all lanes share
+  under a lock.  Theory goals need no cross-request coalescing: a lane
+  is one thread, so its engine's own dispatch stage (one
+  ``entails_batch`` per conjunction frame) is already the only
+  crossing of each session.
 
 Epoch coordination — how replicas converge after ``reset``:
 
@@ -83,7 +84,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..batch.cache import ProofCache
-from ..batch.pipeline import WorkerPool, check_many, logic_config_key
+from ..batch.pipeline import BatchReport, WorkerPool, check_many, logic_config_key
 from ..budget import Budget, CancelledError
 from ..checker.check import Checker
 from ..logic.prove import EngineStats, Logic
@@ -116,8 +117,6 @@ class ServerConfig:
     lanes: int = 1
     #: persistent proof-cache directory (see :mod:`repro.batch.cache`)
     cache_dir: Optional[str] = None
-    #: max in-flight jobs drained into one engine group
-    group_max: int = 16
     #: bounded per-lane job queue; a full lane sheds load with a
     #: retryable ``overloaded`` error instead of queueing unboundedly
     #: (0 = unbounded)
@@ -191,6 +190,24 @@ def _snapshot_stats(stats: EngineStats) -> EngineStats:
     return EngineStats()
 
 
+def _check_result(report: BatchReport, pooled: bool = False) -> Dict[str, Any]:
+    """A ``check`` response body: one verdict row per path, in order."""
+    return {
+        "ok": report.ok,
+        "verdicts": [
+            {
+                "path": v.path,
+                "ok": v.ok,
+                "error": v.error,
+                "types": v.types,
+                "from_cache": v.from_cache,
+            }
+            for v in report.verdicts
+        ],
+        "pooled": pooled,
+    }
+
+
 class _Lane:
     """One warm engine lane: a Logic, a bounded queue, one thread."""
 
@@ -213,7 +230,6 @@ class _Lane:
         self.current_job: Optional[_Job] = None
         self.failure: Optional[str] = None
         self.requests_total = 0
-        self.groups_total = 0
         #: engine-busy wall clock, for the utilization figure in stats
         self.busy_seconds = 0.0
         #: live connections routed here (router input)
@@ -264,8 +280,8 @@ class _Lane:
             self._engine_loop_inner()
         except BaseException as exc:  # lane death: supervised, not fatal
             if not server._stop.is_set():
-                # per-job exceptions are caught in _run_group, so this
-                # is group bookkeeping dying (or a poison job); record
+                # per-job exceptions are caught in _run_job, so this
+                # is loop bookkeeping dying (or a poison job); record
                 # why and let the watchdog respawn a fresh lane thread
                 # over the warm engine.
                 self.failure = f"{type(exc).__name__}: {exc}"
@@ -279,39 +295,30 @@ class _Lane:
 
     def _engine_loop_inner(self) -> None:
         server = self.server
-        config = server.config
         while not server._stop.is_set():
             try:
                 job = self.queue.get(timeout=0.1)
             except queue.Empty:
                 continue
-            group = [job]
-            while len(group) < config.group_max:
-                try:
-                    group.append(self.queue.get_nowait())
-                except queue.Empty:
-                    break
             self.sync_epoch()
-            self.groups_total += 1
-            self.requests_total += len(group)
+            self.requests_total += 1
             busy_from = time.monotonic()
             try:
-                self._run_group(group)
+                self._run_job(job)
             finally:
                 self.current_job = None
                 self.busy_seconds += time.monotonic() - busy_from
-                # only reachable when the group was abandoned: the lane
-                # is dying (watchdog respawns it) or the server stopping
-                for pending in group:
-                    if not pending.done.is_set():
-                        pending.response = error_response(
-                            pending.request,
-                            "internal-error",
-                            "engine lane died mid-group; lane restarting",
-                            retryable=True,
-                        )
-                        pending.response.setdefault("lane", self.index)
-                        pending.done.set()
+                # only reachable when the job was abandoned: the lane is
+                # dying (watchdog respawns it) or the server stopping
+                if not job.done.is_set():
+                    job.response = error_response(
+                        job.request,
+                        "internal-error",
+                        "engine lane died mid-request; lane restarting",
+                        retryable=True,
+                    )
+                    job.response.setdefault("lane", self.index)
+                    job.done.set()
 
     def _begin_job(self, job: _Job) -> None:
         job.started_at = time.monotonic()
@@ -325,107 +332,33 @@ class _Lane:
         )
         return error_response(request, exc.code, str(exc), retryable=True)
 
-    def _run_group(self, group: List[_Job]) -> None:
-        for job in group:
-            if job.poison:
-                raise _LanePoison(f"lane {self.index} poisoned (chaos)")
-        # Merge the group's multi-file check workload into one resident
-        # pool dispatch; everything else runs on this warm lane.
-        pooled: List[_Job] = []
-        if self.server.pool is not None:
-            pooled = [j for j in group if j.request["op"] == "check"]
-            if sum(len(j.request["paths"]) for j in pooled) < 2:
-                pooled = []
-        if pooled:
-            # budgets do not cross the fork boundary, so the deadline is
-            # enforced only before dispatch: jobs already expired while
-            # queued are answered without any pool work.
-            live: List[_Job] = []
-            for job in pooled:
-                if job.budget is not None:
-                    try:
-                        job.budget.check()
-                    except CancelledError as exc:
-                        job.response = self._cancelled_response(job.request, exc)
-                        job.response.setdefault("lane", self.index)
-                        job.done.set()
-                        continue
-                live.append(job)
-            if live:
-                self._run_pooled_checks(live)
-        #: group-level memo — identical in-flight sources check once
-        text_memo: Dict[str, Tuple[bool, str, Dict[str, str]]] = {}
-        for job in group:
-            if job in pooled:
-                continue
-            self._begin_job(job)
-            try:
-                self._execute(job, text_memo)
-            except CancelledError as exc:
-                # belt-and-braces: _execute turns cancellations into
-                # responses itself; a late tick (e.g. inside the stats
-                # delta) must still leave the lane alive.
-                job.response = self._cancelled_response(job.request, exc)
-            except Exception as exc:  # the lane must survive anything
-                job.response = error_response(
-                    job.request, "internal-error", f"{type(exc).__name__}: {exc}"
-                )
-            finally:
-                self.current_job = None
-            job.response.setdefault("lane", self.index)
-            job.done.set()
-
-    def _run_pooled_checks(self, jobs: List[_Job]) -> None:
-        merged: List[str] = []
-        slices: List[Tuple[_Job, int, int]] = []
-        for job in jobs:
-            paths = job.request["paths"]
-            slices.append((job, len(merged), len(merged) + len(paths)))
-            merged.extend(paths)
+    def _run_job(self, job: _Job) -> None:
+        if job.poison:
+            raise _LanePoison(f"lane {self.index} poisoned (chaos)")
+        self._begin_job(job)
         try:
-            # one pool, many lanes: dispatches are serialized — the
-            # fork pool's map/watchdog machinery is not reentrant
-            with self.server._pool_lock:
-                report = self.server.pool.check_many(merged)
-        except Exception as exc:
-            for job, _, _ in slices:
-                job.response = error_response(
-                    job.request, "internal-error", f"{type(exc).__name__}: {exc}"
-                )
-                job.response.setdefault("lane", self.index)
-                job.done.set()
-            return
-        stats = report.stats.as_dict()
-        for job, start, end in slices:
-            verdicts = report.verdicts[start:end]
-            job.response = self.server._respond(
-                job.request,
-                ok=all(v.ok for v in verdicts),
-                verdicts=[
-                    {
-                        "path": v.path,
-                        "ok": v.ok,
-                        "error": v.error,
-                        "types": v.types,
-                        "from_cache": v.from_cache,
-                    }
-                    for v in verdicts
-                ],
-                stats=stats,
-                batched_requests=len(jobs),
-                pooled=True,
+            self._execute(job)
+        except CancelledError as exc:
+            # belt-and-braces: _execute turns cancellations into
+            # responses itself; a late tick (e.g. inside the stats
+            # delta) must still leave the lane alive.
+            job.response = self._cancelled_response(job.request, exc)
+        except Exception as exc:  # the lane must survive anything
+            job.response = error_response(
+                job.request, "internal-error", f"{type(exc).__name__}: {exc}"
             )
-            job.response.setdefault("lane", self.index)
-            job.done.set()
+        job.response.setdefault("lane", self.index)
+        job.done.set()
 
-    def _execute(self, job: _Job, text_memo) -> None:
+    def _execute(self, job: _Job) -> None:
         request = job.request
         op = request["op"]
         session = job.session
         budget = job.budget
         if budget is not None:
             try:
-                # expired while queued: answer without touching the engine
+                # expired while queued: answer without touching the
+                # engine (or the pool — budgets do not cross the fork)
                 budget.check()
             except CancelledError as exc:
                 job.response = self._cancelled_response(request, exc)
@@ -433,7 +366,7 @@ class _Lane:
         baseline = self.logic.stats.copy()
         try:
             with self.logic.budgeted(budget):
-                result = self._execute_op(op, request, session, text_memo)
+                result = self._execute_op(op, request, session)
         except CancelledError as exc:
             # mid-proof abort: the budget raise unwound through
             # exception-safe paths only (push/pop brackets, cache
@@ -444,26 +377,19 @@ class _Lane:
             job.response = response
             return
         if op in ("check", "check_text", "eval"):
-            result["stats"] = self.logic.stats.delta_from(baseline).as_dict()
+            # a pooled check already carries its workers' merged stats
+            result.setdefault(
+                "stats", self.logic.stats.delta_from(baseline).as_dict()
+            )
         job.response = self.server._respond(request, **result)
 
     def _execute_op(
-        self, op: str, request: Dict[str, Any], session: ServerSession, text_memo
+        self, op: str, request: Dict[str, Any], session: ServerSession
     ) -> Dict[str, Any]:
         if op == "check":
             return self._check_paths(request["paths"])
         if op == "check_text":
-            memo_key = request["text"]
-            precomputed = text_memo.get(memo_key)
-            result = session.check_text(
-                request["name"], request["text"], precomputed
-            )
-            if precomputed is not None:
-                result["deduplicated"] = True
-            elif not result["cached"]:
-                state = session._modules[request["name"]]
-                text_memo[memo_key] = (state.ok, state.error, state.types)
-            return result
+            return session.check_text(request["name"], request["text"])
         if op == "eval":
             return session.eval(request["expr"])
         if op == "stats":
@@ -477,21 +403,16 @@ class _Lane:
         return error_response(request, "bad-request", f"unknown op {op!r}")
 
     def _check_paths(self, paths: List[str]) -> Dict[str, Any]:
-        report = check_many(paths, jobs=1, logic=self.logic)
-        return {
-            "ok": report.ok,
-            "verdicts": [
-                {
-                    "path": v.path,
-                    "ok": v.ok,
-                    "error": v.error,
-                    "types": v.types,
-                    "from_cache": v.from_cache,
-                }
-                for v in report.verdicts
-            ],
-            "pooled": False,
-        }
+        pool = self.server.pool
+        if pool is None or len(paths) < 2:
+            return _check_result(check_many(paths, jobs=1, logic=self.logic))
+        # one pool, many lanes: dispatches are serialized — the fork
+        # pool's map/watchdog machinery is not reentrant
+        with self.server._pool_lock:
+            report = pool.check_many(paths)
+        result = _check_result(report, pooled=True)
+        result["stats"] = report.stats.as_dict()
+        return result
 
     def describe(self, uptime: float) -> Dict[str, Any]:
         """This lane's row in the ``stats`` response."""
@@ -503,7 +424,6 @@ class _Lane:
             "queue_depth": self.queue.qsize(),
             "connections": self.connections,
             "requests_total": self.requests_total,
-            "groups_total": self.groups_total,
             "utilization": round(self.busy_seconds / uptime, 4) if uptime > 0 else 0.0,
             "epoch": self.logic.epoch,
             "robustness": robustness,
@@ -580,10 +500,6 @@ class CheckingServer:
     @property
     def requests_total(self) -> int:
         return sum(lane.requests_total for lane in self._lanes)
-
-    @property
-    def groups_total(self) -> int:
-        return sum(lane.groups_total for lane in self._lanes)
 
     @property
     def robustness(self) -> Dict[str, int]:
@@ -1017,7 +933,6 @@ class CheckingServer:
             "server": {
                 "uptime_seconds": round(uptime, 3),
                 "requests_total": self.requests_total,
-                "groups_total": self.groups_total,
                 "sessions": sessions,
                 "pool": pool_info,
                 "queue": {

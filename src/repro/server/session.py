@@ -26,7 +26,7 @@ from session-level state.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..checker.check import Checker
 from ..checker.errors import CheckError
@@ -85,22 +85,13 @@ class ServerSession:
     # ------------------------------------------------------------------
     # requests (engine-thread only; sessions are not thread-safe)
     # ------------------------------------------------------------------
-    def check_text(
-        self,
-        name: str,
-        text: str,
-        precomputed: Optional[tuple] = None,
-    ) -> Dict[str, Any]:
+    def check_text(self, name: str, text: str) -> Dict[str, Any]:
         """Check a named module, incrementally per session.
 
         An unchanged module (same content digest, same engine epoch)
         answers from the session's module store without touching the
         engine at all; an edited module re-checks on the warm engine
-        and the store is updated.  ``precomputed`` is the daemon's
-        group-level dedup: a ``(ok, error, types)`` verdict another
-        in-flight request just computed for byte-identical source —
-        sound to adopt because verdicts are a function of source text
-        alone (the engine caches are content-addressed).
+        and the store is updated.
         """
         self.requests += 1
         self.guard_epoch()
@@ -109,10 +100,7 @@ class ServerSession:
         if state is not None and state.digest == digest:
             self.cached_rechecks += 1
             return self._module_response(name, state, cached=True)
-        if precomputed is not None:
-            ok, error, types = precomputed
-        else:
-            ok, error, types = self._check_source(text)
+        ok, error, types = self._check_source(text)
         state = _ModuleState(digest, ok, error, dict(types))
         self._modules[name] = state
         return self._module_response(name, state, cached=False)

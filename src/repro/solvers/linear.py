@@ -47,7 +47,7 @@ class IncrementalConstraintSet:
     """A push/pop constraint store — the SMT-style context backing the
     incremental linear-arithmetic theory.
 
-    Constraints are normalised and deduplicated *once*, as they are
+    Constraints are normalised and made unique *once*, as they are
     asserted; :meth:`entails` and :meth:`satisfiable` answers are
     memoised until the next content change, so repeated goals against a
     stable assumption set (the dominant checker pattern) cost a single

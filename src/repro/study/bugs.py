@@ -3,7 +3,7 @@
 Two halves:
 
 * **Triage** — machinery turning raw oracle :class:`Violation`\\ s into
-  deduplicated :class:`TriagedBug` groups.  Every violation is
+  distinct :class:`TriagedBug` groups.  Every violation is
   fingerprinted by *what the engine did* on its failing trace — the
   kernel rules fired and the theories consulted while re-checking its
   (shrunk) repro — plus the oracle and outcome, so two programs that
@@ -75,7 +75,7 @@ def trace_fingerprint(source: str, oracle: str = "") -> str:
 
 @dataclass
 class TriagedBug:
-    """One deduplicated group of oracle violations."""
+    """One distinct group of oracle violations."""
 
     fingerprint: str
     oracle: str

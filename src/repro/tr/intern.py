@@ -17,7 +17,7 @@ This module replaces that machinery with true interning:
   that generates a per-class ``__new__`` performing hash-consing.  On
   a table hit the canonical instance comes back from one dict probe;
   on a miss the node is built **once**, with its structural hash and
-  stable intern id precomputed at construction.  ``hash()`` is a slot
+  stable intern id computed at construction.  ``hash()`` is a slot
   read, equality is almost always an identity check, and there is no
   lazy-initialisation exception path left anywhere.
 * :func:`node_id` — the stable id, now just the ``_iid`` slot stamped
@@ -137,7 +137,7 @@ def interned(cls):
 
     * ``__new__`` — probes the per-class intern table and returns the
       canonical instance on a hit; on a miss builds the node with
-      ``_hash`` (salted per class) and ``_iid`` precomputed;
+      ``_hash`` (salted per class) and ``_iid`` computed up front;
     * ``__hash__`` — one slot read;
     * ``__eq__`` — identity, then class, then field-wise comparison
       (the structural fallback only matters across intern-table
@@ -147,7 +147,7 @@ def interned(cls):
       *identical* to the local canonical instance, in any process;
     * a caching wrapper over the class's own ``__repr__`` (reprs are
       used as canonical sort keys by the linear forms, so they are
-      cached, but never precomputed: a repr's text can double per
+      cached, but never computed up front: a repr's text can double per
       level on values with shared subtrees).
 
     A class may define ``_validate`` (a ``staticmethod`` taking the
@@ -336,7 +336,7 @@ def _child_digest(value: Any) -> str:
 
 
 def prime_hashes(node: Any) -> None:
-    """Compatibility no-op: hashes are precomputed at construction.
+    """Compatibility no-op: hashes are computed at construction.
 
     The frozen-dataclass representation cached hashes lazily, so the
     first ``hash()`` of a cold deep tree recursed through every

@@ -14,7 +14,7 @@ theory extensions from section 3.4 of the paper:
 
 Objects are immutable, *interned* values (:mod:`repro.tr.intern`):
 structurally equal objects are the same instance, hashes and stable
-ids are precomputed at construction, and equality is (almost always)
+ids are computed at construction, and equality is (almost always)
 an identity check.  Substitution keeps the normal forms the paper
 requires: ``(fst <x, y>)`` reduces to ``x``, and any object that comes
 to mention the null object collapses to the null object (its enclosing

@@ -9,12 +9,14 @@ committed digests exactly — a changed digest means the slice no
 longer checks what the audit checked.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.fuzz import FuzzConfig, run_fuzz
+from repro.fuzz.campaign import CAMPAIGN_SEED, DEFAULT_PLAN, run_campaign
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -64,3 +66,32 @@ def test_campaign_slice_scaled():
                        solver_oracle=True)
         )
         assert report.ok, "\n".join(v.describe() for v in report.violations)
+
+
+def test_committed_artifact_is_the_default_campaign_plan():
+    """The artifact is ``python -m repro.fuzz.campaign``'s output, intact."""
+    summary = json.loads(
+        (REPO / "benchmark-results" / "fuzz_campaign.json").read_text()
+    )
+    assert [(run["mode"], run["seed"], run["programs"]) for run in summary["runs"]] == [
+        (mode, CAMPAIGN_SEED + index, count)
+        for index, (mode, count) in enumerate(DEFAULT_PLAN)
+    ]
+    body = {key: value for key, value in summary.items() if key != "digest"}
+    blob = json.dumps(body, sort_keys=True).encode()
+    assert summary["digest"] == hashlib.sha256(blob).hexdigest()
+
+
+def test_campaign_writer_is_deterministic():
+    plan = (("plain", 3), ("solver-oracle", 3), ("guided", 3), ("farm", 2))
+    first = run_campaign(plan, seed=7)
+    assert first == run_campaign(plan, seed=7)
+    assert first["total_generated_programs"] == 11
+    assert [run["mode"] for run in first["runs"]] == [mode for mode, _ in plan]
+    for run in first["runs"]:
+        counter = "divergences" if run["mode"] == "farm" else "violations"
+        assert isinstance(run[counter], int)
+        assert "duration_seconds" not in run
+    assert [run.get("solver_oracle", False) for run in first["runs"]] == [
+        False, True, False, False,
+    ]

@@ -97,6 +97,8 @@ class TestVerdictEquality:
             with _connect(daemon) as connected:
                 response = connected.try_check(corpus_paths)
             reference = check_many(corpus_paths, jobs=1, logic=Logic())
+            assert response["pooled"] is True
+            assert response["stats"]["prove_calls"] > 0
             assert [(v["path"], v["ok"], v["error"]) for v in response["verdicts"]] == [
                 (v.path, v.ok, v.error) for v in reference.verdicts
             ]

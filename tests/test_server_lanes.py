@@ -363,7 +363,6 @@ class TestPerLaneStats:
             assert row["engine_alive"] is True
             assert row["queue_depth"] == 0
             assert row["requests_total"] >= 1  # every lane was warmed
-            assert row["groups_total"] >= 1
             assert 0.0 <= row["utilization"] <= 1.0
             assert row["epoch"] == snapshot["epoch"]
             assert set(row["robustness"]) == {

@@ -69,7 +69,12 @@ class TestDeadlines:
             daemon.stop()
 
     def test_pre_expired_deadline_never_reaches_engine(self, tmp_path):
-        daemon = _server(tmp_path, default_deadline_ms=None)
+        paths = []
+        for name in ("a.rkt", "b.rkt"):
+            path = tmp_path / name
+            path.write_text(SIMPLE)
+            paths.append(str(path))
+        daemon = _server(tmp_path, jobs=2, default_deadline_ms=None)
         try:
             with _connect(daemon) as client:
                 with pytest.raises(ServerError) as info:
@@ -79,6 +84,11 @@ class TestDeadlines:
                     )
                 assert info.value.code == "deadline_exceeded"
                 assert client.check_text("ok", SIMPLE)["ok"]
+                # a multi-file check on a pooled daemon: no pool dispatch
+                with pytest.raises(ServerError) as info:
+                    client.request("check", paths=paths, deadline_ms=0.0001)
+                assert info.value.code == "deadline_exceeded"
+                assert client.stats()["server"]["pool"]["batches"] == 0
         finally:
             daemon.stop()
 
@@ -135,7 +145,7 @@ class TestDeadlines:
 
 class TestBackpressure:
     def test_queue_overflow_sheds_with_retryable_error(self, tmp_path):
-        daemon = _server(tmp_path, max_queue_depth=1, group_max=1)
+        daemon = _server(tmp_path, max_queue_depth=1)
         try:
             daemon.logic.dispatch = ChaosDispatch(
                 daemon.logic.dispatch, delay_seconds=0.4, max_faults=2
@@ -172,7 +182,7 @@ class TestBackpressure:
             daemon.stop()
 
     def test_shed_request_can_be_retried_to_success(self, tmp_path):
-        daemon = _server(tmp_path, max_queue_depth=1, group_max=1)
+        daemon = _server(tmp_path, max_queue_depth=1)
         try:
             daemon.logic.dispatch = ChaosDispatch(
                 daemon.logic.dispatch, delay_seconds=0.3, max_faults=1
