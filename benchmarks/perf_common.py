@@ -24,13 +24,11 @@ BASELINE_PATH = RESULTS_DIR / "perf_baseline.json"
 RUN_DIR = RESULTS_DIR / "run"
 
 
-def write_run_artifact(name: str, results: dict) -> Path:
+def write_run_artifact(name: str, results: dict) -> None:
     """Write one bench's ``results`` to ``benchmark-results/run/NAME``."""
     RUN_DIR.mkdir(parents=True, exist_ok=True)
-    path = RUN_DIR / name
-    with open(path, "w") as handle:
+    with open(RUN_DIR / name, "w") as handle:
         json.dump(results, handle, indent=2)
-    return path
 
 
 def load_baseline() -> dict:

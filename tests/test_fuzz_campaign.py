@@ -73,7 +73,8 @@ def test_committed_artifact_is_the_default_campaign_plan():
     summary = json.loads(
         (REPO / "benchmark-results" / "fuzz_campaign.json").read_text()
     )
-    assert [(run["mode"], run["seed"], run["programs"]) for run in summary["runs"]] == [
+    runs = [(run["mode"], run["seed"], run["programs"]) for run in summary["runs"]]
+    assert runs == [
         (mode, CAMPAIGN_SEED + index, count)
         for index, (mode, count) in enumerate(DEFAULT_PLAN)
     ]
