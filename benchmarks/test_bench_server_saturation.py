@@ -1,12 +1,11 @@
 """Saturation throughput of the multi-lane daemon: clients × lanes.
 
-The lane refactor's performance claim is deliberately modest — on
-CPython, engine lanes share the GIL, so N lanes do not multiply
-checking throughput.  What they buy under concurrent load is
-*isolation* (one slow session cannot head-of-line-block every other
-connection behind a single queue) and *fairness* (each lane drains its
-own bounded queue).  This benchmark measures the whole curve so the
-claim stays honest:
+Engine lanes are processes forked from the daemon's engine, so on a
+multi-core machine N lanes check in parallel instead of taking turns
+on one GIL; they also buy *isolation* (one slow session cannot
+head-of-line-block every other connection behind a single queue) and
+*fairness* (each lane drains its own bounded queue).  This benchmark
+measures the whole curve:
 
 * **clients** ∈ {1, 2, 4, 8} concurrent connections, each pinned to a
   lane by its own affinity key and issuing a fixed stream of
@@ -14,6 +13,10 @@ claim stays honest:
   genuine session-store miss served by the warm engine);
 * **lanes** ∈ {1, N}: the same workload against a single-lane and a
   multi-lane daemon.
+
+Each client stream runs in its own forked process, forked before the
+daemon starts: client threads in the pytest process would share its
+GIL with the daemon's own threads and cap the multi-lane figure.
 
 The full matrix lands in ``benchmark-results/run/server_saturation.json``
 (rendered by ``repro.study.report.server_saturation_table``) and CI
@@ -25,9 +28,10 @@ and the *median* ratio across the client curve must clear the tighter
 more is asserted on a one-core box.
 """
 
+import multiprocessing
 import os
+import queue
 import statistics
-import threading
 import time
 
 import pytest
@@ -61,56 +65,88 @@ def corpus():
     return [generate_program(CORPUS_SEED, index).source for index in range(CORPUS_SIZE)]
 
 
+def _stream(socket_path, worker, corpus, go, barrier, results):
+    """One client stream; runs in its own forked process.
+
+    Puts ``(error or None, perf_counter at the end)`` on ``results``.
+    """
+    error = None
+    try:
+        if not go.wait(timeout=120.0):
+            raise TimeoutError("the daemon never started")
+        with Client(
+            socket_path=socket_path,
+            affinity=f"bench-{worker}",
+            retries=4,
+            jitter_seed=worker,
+        ) as client:
+            # warm this connection's lane over the whole corpus, so
+            # the timed region measures steady-state service
+            # throughput, not each lane's one-time cache warming
+            for index, source in enumerate(corpus):
+                client.check_text(f"warm-{worker}-{index}", source)
+            barrier.wait(timeout=120.0)
+            for step in range(REQUESTS_PER_CLIENT):
+                source = corpus[(worker + step) % len(corpus)]
+                response = client.check_text(f"w{worker}-r{step}", source)
+                if "ok" not in response:
+                    error = f"worker {worker}: malformed response"
+    except Exception as exc:  # noqa: BLE001 — surfaced in the assert
+        error = f"worker {worker}: {type(exc).__name__}: {exc}"
+        barrier.abort()
+    # perf_counter is CLOCK_MONOTONIC on Linux: comparable across processes
+    results.put((error, time.perf_counter()))
+
+
 def _run_config(tmp_path, tag, lanes, clients, corpus):
     """Throughput of ``clients`` concurrent streams against ``lanes``."""
+    socket_path = str(tmp_path / f"{tag}.sock")
+    ctx = multiprocessing.get_context("fork")
+    go = ctx.Event()
+    barrier = ctx.Barrier(clients + 1)
+    results = ctx.Queue()
+    # fork the clients first, so none inherits the daemon's sockets
+    streams = [
+        ctx.Process(
+            target=_stream,
+            args=(socket_path, worker, corpus, go, barrier, results),
+            daemon=True,
+        )
+        for worker in range(clients)
+    ]
+    for process in streams:
+        process.start()
     daemon = CheckingServer(
-        ServerConfig(
-            socket_path=str(tmp_path / f"{tag}.sock"),
-            lanes=lanes,
-            max_queue_depth=256,
-        ),
+        ServerConfig(socket_path=socket_path, lanes=lanes, max_queue_depth=256),
         logic=Logic(),
     )
-    daemon.start()
     errors = []
-    barrier = threading.Barrier(clients + 1)
-
-    def stream(worker):
-        try:
-            with Client(
-                socket_path=daemon.config.socket_path,
-                affinity=f"bench-{worker}",
-                retries=4,
-                jitter_seed=worker,
-            ) as client:
-                # warm this connection's lane over the whole corpus, so
-                # the timed region measures steady-state service
-                # throughput, not each replica's one-time cache warming
-                for index, source in enumerate(corpus):
-                    client.check_text(f"warm-{worker}-{index}", source)
-                barrier.wait(timeout=120.0)
-                for step in range(REQUESTS_PER_CLIENT):
-                    source = corpus[(worker + step) % len(corpus)]
-                    response = client.check_text(f"w{worker}-r{step}", source)
-                    if "ok" not in response:
-                        errors.append(f"worker {worker}: malformed response")
-        except Exception as exc:  # noqa: BLE001 — surfaced in the assert
-            errors.append(f"worker {worker}: {type(exc).__name__}: {exc}")
-
-    threads = [
-        threading.Thread(target=stream, args=(w,), daemon=True)
-        for w in range(clients)
-    ]
     try:
-        for thread in threads:
-            thread.start()
-        barrier.wait(timeout=120.0)  # all warmed: start the clock together
+        daemon.start()
+        go.set()
+        try:
+            barrier.wait(timeout=120.0)  # all warmed: start the clock together
+        except Exception as exc:  # noqa: BLE001 — a stream failed to warm
+            errors.append(f"barrier: {type(exc).__name__}")
         started = time.perf_counter()
-        for thread in threads:
-            thread.join(timeout=600.0)
-        elapsed = time.perf_counter() - started
+        finished = []
+        for _ in streams:
+            try:
+                error, ended = results.get(timeout=600.0)
+            except queue.Empty:
+                errors.append("a client stream never reported")
+                break
+            finished.append(ended)
+            if error:
+                errors.append(error)
+        elapsed = max(finished, default=started) - started
     finally:
         daemon.stop()
+        for process in streams:
+            process.join(timeout=30.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
     assert not errors, errors[:3]
     total = clients * REQUESTS_PER_CLIENT
     return {

@@ -708,10 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resident worker processes for multi-file "
                             "check requests")
     serve.add_argument("--lanes", type=int, default=1,
-                       help="warm engine lanes; each lane owns an engine "
-                            "replica and a bounded queue, and connections "
-                            "stick to one lane (optionally pinned by an "
-                            "affinity key)")
+                       help="engine lanes; each lane is a process forked "
+                            "from the daemon's engine with a bounded queue, "
+                            "and connections stick to one lane (optionally "
+                            "pinned by an affinity key)")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent proof-cache directory")
     serve.add_argument("--max-queue-depth", type=int, default=64,

@@ -11,7 +11,7 @@ checks are cheap enough for per-pivot / per-conflict / per-worklist-pop
 placement.
 
 When the deadline passes (or a watchdog fires :meth:`Budget.cancel`
-from another thread), the next full check raises
+from another thread or a signal handler), the next full check raises
 :class:`DeadlineExceeded` / :class:`JobCancelled`.  The exception
 unwinds through code that is already exception-safe by construction:
 
@@ -28,9 +28,11 @@ The active budget travels two ways: explicitly on the ``Logic`` façade
 (``logic.budget``, set by :meth:`Logic.budgeted`) for the kernel
 stages, and via a thread-local for the solver cores, which are built
 standalone and have no back-pointer to the engine.  The engine lane is
-single-threaded, so the thread-local is sound; budgets do **not**
-cross the fork boundary into pool workers (the pool has its own
-PID-level watchdog for that).
+single-threaded, so the thread-local is sound.  A daemon job's budget
+is pickled to its lane process with the absolute deadline (monotonic
+time is system-wide on Linux); budgets do **not** cross the fork
+boundary into pool workers (the pool has its own PID-level watchdog
+for that).
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ seeded the same way injects the same faults in the same order.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -111,6 +112,11 @@ class ChaosDispatch:
     hot loops do — so a deadline or watchdog cancellation is the *only*
     way out, which is precisely the recovery path under test.
     ``skip_calls`` lets the first N consultations through unharmed.
+
+    Wrap the engine *before* a daemon forks its lanes from it.  The
+    call and fault counters live in shared memory, so ``max_faults``
+    bounds the faults across every lane process, re-forked ones
+    included.
     """
 
     def __init__(
@@ -126,16 +132,18 @@ class ChaosDispatch:
         self.hang = hang
         self.skip_calls = skip_calls
         self.max_faults = max_faults
-        self.calls = 0
-        self.faults = 0
+        self.calls = multiprocessing.Value("i", 0)
+        self.faults = multiprocessing.Value("i", 0)
 
     def _maybe_fault(self) -> None:
-        self.calls += 1
-        if self.calls <= self.skip_calls:
-            return
-        if self.max_faults is not None and self.faults >= self.max_faults:
-            return
-        self.faults += 1
+        with self.calls.get_lock():
+            self.calls.value += 1
+            if self.calls.value <= self.skip_calls:
+                return
+        with self.faults.get_lock():
+            if self.max_faults is not None and self.faults.value >= self.max_faults:
+                return
+            self.faults.value += 1
         if self.hang:
             # wedged "forever": only a cooperative cancellation ends it
             while True:

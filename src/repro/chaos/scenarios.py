@@ -15,8 +15,9 @@ running the same three closing assertions:
 
 Scenarios run in-process (not against a spawned subprocess like the
 fuzz farm) precisely so faults can be injected surgically: killing a
-known pool worker, wrapping the live theory dispatch, corrupting the
-exact shard files the daemon just flushed.
+known pool worker, wrapping the theory dispatch of the engine the lanes
+are forked from, corrupting the exact shard files the daemon just
+flushed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import socket as socket_mod
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
 from ..checker.errors import CheckError
 from ..fuzz.gen import generate_program
@@ -114,7 +115,13 @@ def build_workload(seed: int, count: int) -> List[WorkloadProgram]:
 class _Scenario:
     """Owns one in-process server + client pair and the closing checks."""
 
-    def __init__(self, ctx: ScenarioContext, name: str, **config_overrides) -> None:
+    def __init__(
+        self,
+        ctx: ScenarioContext,
+        name: str,
+        logic: Optional[Logic] = None,
+        **config_overrides,
+    ) -> None:
         self.ctx = ctx
         self.name = name
         self.socket_path = os.path.join(ctx.tmpdir, f"{name}.sock")
@@ -125,8 +132,11 @@ class _Scenario:
         )
         settings.update(config_overrides)
         # a fresh engine per scenario: no cross-scenario contamination,
-        # and the "fresh engine" reference stays an honest comparison
-        self.server = CheckingServer(ServerConfig(**settings), logic=Logic())
+        # and the "fresh engine" reference stays an honest comparison.
+        # Faults go into it before start(): the lanes fork from it.
+        self.server = CheckingServer(
+            ServerConfig(**settings), logic=logic or Logic()
+        )
         ctx.active.append(self)
         self.server.start()
 
@@ -288,14 +298,13 @@ def scenario_torn_cache(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scena
 # ----------------------------------------------------------------------
 @_run("hung_goal")
 def scenario_hung_goal(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenario:
-    harness = _Scenario(ctx, "hung_goal", jobs=1, hang_seconds=0.75)
-    server = harness.server
+    # two hung consultations: one for (a), one for (b)
+    logic = Logic()
+    logic.dispatch = faults.ChaosDispatch(logic.dispatch, hang=True, max_faults=2)
+    harness = _Scenario(ctx, "hung_goal", logic, jobs=1, hang_seconds=0.75)
     with harness.client() as client:
         # (a) a hung consultation + deadline_ms → structured
         # deadline_exceeded within the deadline plus scheduling slack
-        server.logic.dispatch = faults.ChaosDispatch(
-            server.logic.dispatch, hang=True, max_faults=1
-        )
         started = time.monotonic()
         try:
             client.check_text("hung_a", THEORY_HEAVY_SOURCE, deadline_ms=400)
@@ -309,9 +318,6 @@ def scenario_hung_goal(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenar
         else:
             raise AssertionError("hung request did not hit its deadline")
         # (b) the same hang with no deadline → the watchdog cancels it
-        server.logic.dispatch = faults.ChaosDispatch(
-            server.logic.dispatch, hang=True, max_faults=1
-        )
         try:
             client.check_text("hung_b", THEORY_HEAVY_SOURCE)
         except ServerError as exc:
@@ -404,13 +410,14 @@ def scenario_reset_storm(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scen
 # ----------------------------------------------------------------------
 @_run("overload_shed")
 def scenario_overload_shed(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenario:
-    harness = _Scenario(ctx, "overload_shed", jobs=1, max_queue_depth=1)
-    server = harness.server
-    # every theory consultation stalls 0.4s (cooperatively), so the lane
-    # stays busy long enough for the burst below to overflow the queue
-    server.logic.dispatch = faults.ChaosDispatch(
-        server.logic.dispatch, delay_seconds=0.4, max_faults=2
+    # the first two theory consultations stall 0.4s (cooperatively), so
+    # the lane stays busy long enough for the burst below to overflow
+    # the queue
+    logic = Logic()
+    logic.dispatch = faults.ChaosDispatch(
+        logic.dispatch, delay_seconds=0.4, max_faults=2
     )
+    harness = _Scenario(ctx, "overload_shed", logic, jobs=1, max_queue_depth=1)
     outcomes: List[str] = []
     lock = threading.Lock()
 
@@ -443,7 +450,8 @@ def scenario_overload_shed(ctx: ScenarioContext, details: Dict[str, Any]) -> _Sc
         raise AssertionError(f"queue cap never shed load: {outcomes}")
     if served == 0:
         raise AssertionError(f"every burst request failed: {outcomes}")
-    stats_shed = harness.server.robustness["shed_overloaded"]
+    with harness.client() as client:
+        stats_shed = client.stats()["server"]["robustness"]["shed_overloaded"]
     if stats_shed < shed:
         raise AssertionError(
             f"shed counter ({stats_shed}) disagrees with responses ({shed})"
@@ -496,7 +504,7 @@ def scenario_lane_kill(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenar
                     f"surviving lane {lane_index} verdict flipped during outage"
                 )
     details["survivors_served"] = lanes - 1
-    # the watchdog respawns the dead lane over its warm engine
+    # the lane's driver re-forks the dead lane from the parent engine
     deadline = time.monotonic() + 10.0
     with harness.client() as probe:
         while time.monotonic() < deadline:

@@ -346,8 +346,8 @@ class Logic:
         ``epoch`` lets a coordinator (the multi-lane daemon) drive a
         *fleet* of engines to one shared epoch: the engine's epoch
         still advances by at least one, but never lands below the
-        target, so replicas that missed intermediate resets converge in
-        a single call.
+        target, so lane engines that missed intermediate resets
+        converge in a single call.
         """
         self.epoch += 1
         if epoch is not None and epoch > self.epoch:
@@ -362,37 +362,6 @@ class Logic:
         if self._persist is not None:
             self._persist.flush()
             self._persist.drop_memory()
-
-    def replica(self) -> "Logic":
-        """A fresh engine with this engine's exact configuration.
-
-        The daemon's extra lanes are built from replicas: each carries
-        its own theory registry (solver contexts — incremental
-        constraint sets, the shared bit-blaster — are not thread-safe,
-        so engines on different threads must never share one), its own
-        memo tables and its own :class:`EngineStats`, and starts at the
-        parent's epoch.  Verdict equality is by construction: replicas
-        agree on :meth:`config_key`, and every cache is content-
-        addressed, so a replica can never answer differently from a
-        fresh engine — this is pinned by the differential lane-
-        equivalence suite (``tests/test_server_lanes.py``).
-        """
-        clone = type(self)(
-            registry=None,  # a private registry: solver state never crosses threads
-            use_representatives=self.use_representatives,
-            max_depth=self.max_depth,
-            max_splits=self.max_splits,
-            cache_limit=self._cache_limit,
-            session_limit=self._session_limit,
-            max_steps=self.max_steps,
-        )
-        clone.epoch = self.epoch
-        if clone.config_key() != self.config_key():
-            raise ValueError(
-                f"replica configuration diverged: {clone.config_key()!r} "
-                f"!= {self.config_key()!r}"
-            )
-        return clone
 
     def config_key(self) -> str:
         """The persistent-cache namespace of this engine configuration.

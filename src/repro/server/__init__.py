@@ -8,8 +8,8 @@ engine (PR 1), ``entails_batch`` dispatch and the persistent proof
 cache (PR 3) were built for:
 
 * :class:`~repro.server.daemon.CheckingServer` — a daemon (CLI:
-  ``repro serve``) that keeps **one** warm process-shared
-  :class:`~repro.logic.prove.Logic` resident across requests, gives
+  ``repro serve``) that keeps warm :class:`~repro.logic.prove.Logic`
+  engines resident across requests in forked lane processes, gives
   each connection an isolated, epoch-guarded session (module store +
   REPL scope), runs one request per lane turn, and fans heavy
   multi-file checks out to a resident

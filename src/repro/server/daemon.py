@@ -1,70 +1,74 @@
-"""The checking daemon: N warm engine lanes serving many connections.
+"""The checking daemon: N engine lanes, each its own forked process.
 
-Threading model — chosen for the engine we actually have, not the one
-we wish we had:
+Process model — one concurrency model, chosen so checking throughput
+grows with cores on CPython:
 
-* **Connection threads** do I/O only: they frame requests off the
-  socket, validate them, enqueue :class:`_Job`\\ s on their routed
-  lane and write responses back.  They never touch an engine.
-  ``ping`` is answered here directly — a health probe must work even
-  when every engine lane is wedged.
-* **Engine lanes** (``--lanes N``) each own a warm
-  :class:`~repro.logic.prove.Logic` — lane 0 the engine the server was
-  built over, lanes 1..N-1 replicas of it
-  (:meth:`~repro.logic.prove.Logic.replica`).  An engine's solver
-  contexts are not thread-safe, so each lane's work is serialized on
-  its own thread; the value layer underneath is shared safely (intern
-  ids are allocated atomically, the fresh-name stream is thread-local)
-  and every judgment cache is content-addressed, so lanes cannot
-  observe each other through the engine — verdicts are bit-identical
-  to a fresh single engine, pinned by the differential suite in
-  ``tests/test_server_lanes.py``.
+* **The parent process** does I/O, routing and supervision only.
+  Connection threads frame requests off the socket, validate them,
+  enqueue :class:`_Job`\\ s on their routed lane's bounded queue and
+  write the responses back.  ``ping`` is answered right there — a
+  health probe must work even when every engine lane is wedged.
+* **Engine lanes** (``--lanes N``) are processes forked from the
+  parent's warm :class:`~repro.logic.prove.Logic` by :meth:`start`,
+  before any server thread exists.  Each lane process owns its copy of
+  the engine and the :class:`~repro.server.session.ServerSession`\\ s
+  of the connections routed to it, and checks on its own interpreter,
+  so lanes never share a GIL.  In the parent, each lane has a **driver
+  thread**: it takes one job off the lane's queue, sends it over a
+  socket pair to the lane process and blocks on the reply.  Every
+  judgment cache is content-addressed, so verdicts are bit-identical to
+  a fresh single engine whatever lane answers — pinned by the
+  differential suite in ``tests/test_server_lanes.py``.
 * **Routing is sticky with optional affinity.**  A connection is
   assigned a lane at its first queued request — by the request's
   ``affinity`` key (stable hash, so one logical session always lands
   on the same warm lane across reconnects) or to the least-loaded lane
   — and keeps it for the connection's lifetime, so session-scoped
   incremental re-checking keeps hitting the same warm module store and
-  engine caches.
-* **One request per lane turn**: a lane takes one queued job, runs
-  it to a response, then takes the next.  A multi-file ``check`` on a
-  ``--jobs`` daemon fans out to the resident
-  :class:`~repro.batch.pipeline.WorkerPool`, which all lanes share
-  under a lock.  Theory goals need no cross-request coalescing: a lane
-  is one thread, so its engine's own dispatch stage (one
-  ``entails_batch`` per conjunction frame) is already the only
-  crossing of each session.
+  engine caches.  When the connection closes, its lane drops the
+  session.
+* **One request per lane turn**: a lane runs one job to a response,
+  then takes the next.  The one exception to "engine work happens in a
+  lane" is a multi-file ``check`` on a ``--jobs`` daemon: it fans out
+  to the parent's resident :class:`~repro.batch.pipeline.WorkerPool`,
+  which all drivers share under a lock.
 
-Epoch coordination — how replicas converge after ``reset``:
+Epoch coordination — how lanes converge after ``reset``:
 
-* The server keeps one **epoch**; ``reset`` (from any lane) bumps it,
-  immediately resets the serving lane's engine, records the new epoch
+* The server keeps one **epoch**.  ``reset`` (from any lane) bumps it,
+  the serving lane resets its engine at once and records the new epoch
   in the persistent cache's ``meta.json`` (so epochs stay monotone
-  across daemon restarts over one cache directory) and tears down the
-  shared pool.  Every *other* lane syncs lazily: before running any
-  job it compares its engine's epoch to the server's and calls
-  ``reset_caches(epoch=...)`` if behind.  A request enqueued after the
-  reset response was sent is therefore always served post-reset state
-  — no lane can ever serve a stale proof — while requests already
-  in flight on other lanes complete under the old epoch, which is the
-  usual linearizability for operations that overlap the reset.
+  across daemon restarts over one cache directory), and the shared
+  pool is torn down.  Every job message carries the server epoch; a
+  lane behind it calls ``reset_caches(epoch=...)`` before running the
+  job.  A request enqueued after the reset response was sent is
+  therefore always served post-reset state, while requests already in
+  flight on other lanes complete under the old epoch — the usual
+  linearizability for operations that overlap the reset.
 
 Robustness layer (deadlines, backpressure, supervision) — all per lane:
 
-* Every lane request carries a :class:`~repro.budget.Budget`; expired
+* Every engine request carries a :class:`~repro.budget.Budget`; its
+  absolute deadline crosses the pipe with the job (``time.monotonic``
+  is system-wide on Linux, so queue wait counts against it).  Expired
   requests abort mid-proof with a structured, retryable
   ``deadline_exceeded`` while the lane stays warm.
 * Each lane's job queue is **bounded** (``max_queue_depth``); a full
   lane rejects immediately with retryable ``overloaded``.
-* A single **watchdog** thread supervises every lane: it cancels any
-  job running past ``hang_seconds`` via its budget, and respawns any
-  lane whose thread died — over the same warm engine replica — so one
-  impossible request can never take a lane (let alone the daemon)
-  down.  Robustness counters are kept per lane and merged for the
-  ``stats`` op.
-* ``stop()`` wakes every blocked connection wait immediately: queued
-  jobs are failed, in-flight jobs are failed, and connection threads
-  block on a plain ``Event.wait()`` with no polling timeout.
+* A single **watchdog** thread sends ``SIGUSR1`` to a lane whose job
+  runs past ``hang_seconds``; the lane's handler cancels that job's
+  budget, which answers a retryable ``cancelled``.
+* A lane process that dies (EOF on its pipe) fails its in-flight job
+  with a retryable error and is re-forked from the parent's engine by
+  its driver; surviving lanes keep serving throughout.
+* ``stats`` never waits on a busy lane: every reply carries that
+  lane's engine-counter delta and robustness counters, and the parent
+  keeps per-lane totals.
+* ``stop()`` fails queued and in-flight jobs, shuts the lane pipes,
+  sends ``SIGTERM``, waits a short grace period, sends ``SIGKILL`` and
+  reaps every lane before it returns.  On Linux each lane also asks to
+  be ``SIGKILL``\\ ed when its parent dies (``PR_SET_PDEATHSIG``), so
+  no lane outlives its daemon.
 
 Isolation and resets are session concerns — see
 :mod:`repro.server.session`; the wire protocol is
@@ -74,10 +78,16 @@ Isolation and resets are session concerns — see
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
 import os
+import pickle
 import queue
+import signal
 import socket
+import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -113,7 +123,8 @@ class ServerConfig:
     #: worker processes for fanned-out multi-file ``check`` requests;
     #: 1 keeps everything on the engine lanes
     jobs: int = 1
-    #: warm engine lanes; each owns a Logic replica and a bounded queue
+    #: engine lanes; each is a process with its own engine and a
+    #: bounded queue
     lanes: int = 1
     #: persistent proof-cache directory (see :mod:`repro.batch.cache`)
     cache_dir: Optional[str] = None
@@ -134,34 +145,24 @@ class ServerConfig:
 class _Job:
     """One validated request waiting for an engine lane."""
 
-    __slots__ = (
-        "request", "session", "response", "done", "budget", "started_at",
-        "poison",
-    )
+    __slots__ = ("request", "session_id", "response", "done", "budget",
+                 "started_at")
 
     def __init__(
         self,
         request: Dict[str, Any],
-        session: Optional[ServerSession],
+        session_id: Optional[str],
         budget: Optional[Budget] = None,
-        poison: bool = False,
     ) -> None:
         self.request = request
-        self.session = session
+        self.session_id = session_id
         self.response: Dict[str, Any] = {}
         self.done = threading.Event()
-        #: deadline / cancellation token (None for stats/shutdown)
+        #: deadline / cancellation token (None for stats/shutdown); a
+        #: copy crosses the pipe with the job
         self.budget = budget
-        #: monotonic time the engine lane picked the job up (0 = queued)
+        #: monotonic time the driver started the job (0 = queued)
         self.started_at = 0.0
-        #: chaos hook: a poison job kills its lane thread outright
-        #: (``poison_lane``), exercising the watchdog's respawn path
-        self.poison = poison
-
-
-class _LanePoison(BaseException):
-    """Raised by a poison job; escapes the per-job ``except Exception``
-    so the lane thread genuinely dies (threads cannot be SIGKILLed)."""
 
 
 #: the per-lane robustness counters; merged (summed) for ``stats``
@@ -173,21 +174,46 @@ _LANE_COUNTERS = (
     "lane_restarts",
 )
 
+#: how long ``stop()`` waits after SIGTERM before it SIGKILLs a lane
+_STOP_GRACE_SECONDS = 1.0
 
-def _snapshot_stats(stats: EngineStats) -> EngineStats:
-    """Copy another lane's live counters without stopping that lane.
+#: ``prctl`` option: signal this process when its parent dies (Linux)
+_PR_SET_PDEATHSIG = 1
 
-    A lane mutates its dict-valued counters while we iterate; CPython
-    then raises ``RuntimeError`` from the iteration, never corrupts —
-    so retry a few times and fall back to a zero snapshot rather than
-    failing the ``stats`` request.
-    """
-    for _ in range(8):
-        try:
-            return stats.copy()
-        except RuntimeError:
-            continue
-    return EngineStats()
+_HEADER = struct.Struct("!Q")
+
+
+def _send(sock: socket.socket, message: Any) -> None:
+    """Write one length-prefixed pickle to a lane pipe."""
+    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    sock.sendall(_HEADER.pack(len(payload)) + payload)
+
+
+def _recv(sock: socket.socket) -> Any:
+    """Read one message from a lane pipe; ``EOFError`` once it closed."""
+    (size,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    return pickle.loads(_recv_exact(sock, size))
+
+
+def _recv_exact(sock: socket.socket, size: int) -> bytearray:
+    buffer = bytearray(size)
+    view = memoryview(buffer)
+    got = 0
+    while got < size:
+        count = sock.recv_into(view[got:])
+        if count == 0:
+            raise EOFError("lane pipe closed")
+        got += count
+    return buffer
+
+
+def _respond(request: Dict[str, Any], **fields) -> Dict[str, Any]:
+    response: Dict[str, Any] = {"op": request["op"]}
+    if "id" in request:
+        response["id"] = request["id"]
+    response.update(fields)
+    response.setdefault("ok", True)
+    return response
 
 
 def _check_result(report: BatchReport, pooled: bool = False) -> Dict[str, Any]:
@@ -208,211 +234,476 @@ def _check_result(report: BatchReport, pooled: bool = False) -> Dict[str, Any]:
     }
 
 
-class _Lane:
-    """One warm engine lane: a Logic, a bounded queue, one thread."""
+def _die_with_parent(parent_pid: int) -> None:
+    """Make the calling lane process exit when its parent does.
 
-    def __init__(self, server: "CheckingServer", index: int, logic: Logic) -> None:
-        self.server = server
+    On Linux the kernel SIGKILLs the lane the moment the parent dies
+    (``PR_SET_PDEATHSIG``; strictly, when the parent *thread* that
+    forked it exits — drivers live as long as the daemon).  Elsewhere
+    the lane still exits on EOF from its pipe.
+    """
+    if sys.platform.startswith("linux"):
+        try:
+            prctl = ctypes.CDLL(None, use_errno=True).prctl
+            prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+            prctl.restype = ctypes.c_int
+            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+        except (OSError, AttributeError):
+            pass
+    if os.getppid() != parent_pid:  # the parent died before the prctl
+        os._exit(0)
+
+
+def _exit_reason(status: Optional[int]) -> str:
+    if status is None:
+        return "unknown"
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return f"killed by {signal.Signals(-code).name}"
+    return f"exit status {code}"
+
+
+def _peak_rss_mb(pid: Optional[int]) -> Optional[float]:
+    """A process's peak resident set (``VmHWM``), or None if unreadable."""
+    if pid is None:
+        return None
+    try:
+        with open(f"/proc/{pid}/status") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 1)
+    except OSError:
+        pass
+    return None
+
+
+class _LaneEngine:
+    """The engine half of a lane; exists only in the lane process."""
+
+    def __init__(self, index: int, logic: Logic, config: ServerConfig) -> None:
         self.index = index
         self.logic = logic
-        config = server.config
-        #: per-lane handle over the *shared* cache directory; flushes
+        self.hang_seconds = config.hang_seconds
+        #: this lane's handle over the *shared* cache directory; flushes
         #: are atomic per shard with re-read-before-write, so
         #: concurrent lane flushes lose nothing but the race
         self.persist: Optional[ProofCache] = None
         if config.cache_dir is not None:
             self.persist = ProofCache(config.cache_dir, logic_config_key(logic))
             logic.attach_persistent_cache(self.persist)
-        depth = max(0, config.max_queue_depth)
-        self.queue: "queue.Queue[_Job]" = queue.Queue(maxsize=depth)
-        self.thread: Optional[threading.Thread] = None
-        #: the job this lane is currently running (watchdog input)
-        self.current_job: Optional[_Job] = None
-        self.failure: Optional[str] = None
-        self.requests_total = 0
-        #: engine-busy wall clock, for the utilization figure in stats
-        self.busy_seconds = 0.0
-        #: live connections routed here (router input)
-        self.connections = 0
-        #: per-lane robustness counters (guarded by server._robust_lock)
-        self.robustness: Dict[str, int] = {key: 0 for key in _LANE_COUNTERS}
+        self.sessions: Dict[str, ServerSession] = {}
+        #: the running job's budget — what the signal handlers cancel
+        self.budget: Optional[Budget] = None
+        self.stopping = False
+        self._shards_reported = 0
 
-    # ------------------------------------------------------------------
-    @property
-    def alive(self) -> bool:
-        return self.thread is not None and self.thread.is_alive()
+    def install_signal_handlers(self) -> None:
+        # Ctrl-C reaches the whole process group; the parent stops lanes
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGUSR1, self._on_hang)
+        signal.signal(signal.SIGTERM, self._on_term)
 
-    def count(self, key: str, amount: int = 1) -> None:
-        with self.server._robust_lock:
-            self.robustness[key] = self.robustness.get(key, 0) + amount
-
-    def spawn(self) -> None:
-        thread = threading.Thread(
-            target=self._engine_loop,
-            name=f"repro-server-lane-{self.index}",
-            daemon=True,
-        )
-        self.thread = thread
-        self.server._threads.append(thread)
-        thread.start()
-
-    # ------------------------------------------------------------------
-    # epoch coordination
-    # ------------------------------------------------------------------
-    def sync_epoch(self) -> None:
-        """Catch this lane's engine up to the server epoch (lazy).
-
-        Called before any job runs; a lane that missed resets while
-        busy (or respawning) converges in one ``reset_caches`` call, so
-        a job enqueued after a reset response can never see pre-reset
-        engine state, whichever lane it lands on.
-        """
-        target = self.server._epoch
-        if self.logic.epoch < target:
-            self.logic.reset_caches(epoch=target)
-
-    # ------------------------------------------------------------------
-    # the engine loop
-    # ------------------------------------------------------------------
-    def _engine_loop(self) -> None:
-        server = self.server
-        try:
-            self._engine_loop_inner()
-        except BaseException as exc:  # lane death: supervised, not fatal
-            if not server._stop.is_set():
-                # per-job exceptions are caught in _run_job, so this
-                # is loop bookkeeping dying (or a poison job); record
-                # why and let the watchdog respawn a fresh lane thread
-                # over the warm engine.
-                self.failure = f"{type(exc).__name__}: {exc}"
-                return
-            raise
-        finally:
-            if server._stop.is_set():
-                # jobs enqueued around the moment of shutdown still get
-                # a response (stop() sweeps once more for the race)
-                server._fail_lane_queue(self, "server is stopping")
-
-    def _engine_loop_inner(self) -> None:
-        server = self.server
-        while not server._stop.is_set():
-            try:
-                job = self.queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            self.sync_epoch()
-            self.requests_total += 1
-            busy_from = time.monotonic()
-            try:
-                self._run_job(job)
-            finally:
-                self.current_job = None
-                self.busy_seconds += time.monotonic() - busy_from
-                # only reachable when the job was abandoned: the lane is
-                # dying (watchdog respawns it) or the server stopping
-                if not job.done.is_set():
-                    job.response = error_response(
-                        job.request,
-                        "internal-error",
-                        "engine lane died mid-request; lane restarting",
-                        retryable=True,
-                    )
-                    job.response.setdefault("lane", self.index)
-                    job.done.set()
-
-    def _begin_job(self, job: _Job) -> None:
-        job.started_at = time.monotonic()
-        self.current_job = job
-
-    def _cancelled_response(
-        self, request: Dict[str, Any], exc: CancelledError
-    ) -> Dict[str, Any]:
-        self.count(
-            "deadline_exceeded" if exc.code == "deadline_exceeded" else "cancelled"
-        )
-        return error_response(request, exc.code, str(exc), retryable=True)
-
-    def _run_job(self, job: _Job) -> None:
-        if job.poison:
-            raise _LanePoison(f"lane {self.index} poisoned (chaos)")
-        self._begin_job(job)
-        try:
-            self._execute(job)
-        except CancelledError as exc:
-            # belt-and-braces: _execute turns cancellations into
-            # responses itself; a late tick (e.g. inside the stats
-            # delta) must still leave the lane alive.
-            job.response = self._cancelled_response(job.request, exc)
-        except Exception as exc:  # the lane must survive anything
-            job.response = error_response(
-                job.request, "internal-error", f"{type(exc).__name__}: {exc}"
-            )
-        job.response.setdefault("lane", self.index)
-        job.done.set()
-
-    def _execute(self, job: _Job) -> None:
-        request = job.request
-        op = request["op"]
-        session = job.session
-        budget = job.budget
+    def _on_hang(self, signum, frame) -> None:
+        budget = self.budget
         if budget is not None:
-            try:
-                # expired while queued: answer without touching the
-                # engine (or the pool — budgets do not cross the fork)
-                budget.check()
-            except CancelledError as exc:
-                job.response = self._cancelled_response(request, exc)
-                return
-        baseline = self.logic.stats.copy()
+            # cooperative abort: the job notices at its next budget tick
+            budget.cancel(
+                "watchdog: job exceeded hang threshold "
+                f"({self.hang_seconds:g}s); aborted to keep the lane live"
+            )
+
+    def _on_term(self, signum, frame) -> None:
+        self.stopping = True
+        budget = self.budget
+        if budget is not None:
+            budget.cancel("server is stopping")
+
+    def serve(self, sock: socket.socket) -> None:
+        """Answer jobs until the parent closes the pipe."""
         try:
+            while not self.stopping:
+                try:
+                    message = _recv(sock)
+                except (EOFError, OSError):
+                    return
+                for session_id in message["drop"]:
+                    self.sessions.pop(session_id, None)
+                job = message["job"]
+                if job is None:
+                    continue
+                reply = self.run(**job)
+                try:
+                    _send(sock, reply)
+                except OSError:
+                    return
+        finally:
+            if self.persist is not None:
+                self.logic.detach_persistent_cache()
+                self.persist.flush()
+
+    def run(
+        self,
+        request: Dict[str, Any],
+        session_id: str,
+        epoch: int,
+        budget: Optional[Budget],
+    ) -> Dict[str, Any]:
+        """One job: the response plus what the parent's totals need."""
+        # set first, so a watchdog signal landing at any point of the
+        # job finds the budget to cancel
+        self.budget = budget
+        baseline = self.logic.stats.copy()
+        counts: Dict[str, int] = {}
+        carries_stats = request["op"] in ("check", "check_text", "eval")
+        try:
+            if self.logic.epoch < epoch:
+                # lazy epoch sync: a lane that missed resets converges
+                # in one call, before the job can see pre-reset state
+                self.logic.reset_caches(epoch=epoch)
+            session = self.sessions.get(session_id)
+            if session is None:
+                session = self.sessions[session_id] = ServerSession(
+                    session_id, self.logic, lane_index=self.index
+                )
             with self.logic.budgeted(budget):
-                result = self._execute_op(op, request, session)
+                response = self._execute(request, session, epoch)
         except CancelledError as exc:
             # mid-proof abort: the budget raise unwound through
             # exception-safe paths only (push/pop brackets, cache
             # writes that happen after success), so the lane stays
             # warm; report retryably and keep serving.
-            response = self._cancelled_response(request, exc)
-            response["stats"] = self.logic.stats.delta_from(baseline).as_dict()
-            job.response = response
-            return
-        if op in ("check", "check_text", "eval"):
-            # a pooled check already carries its workers' merged stats
-            result.setdefault(
-                "stats", self.logic.stats.delta_from(baseline).as_dict()
+            counts[exc.code] = 1
+            carries_stats = True
+            response = error_response(request, exc.code, str(exc), retryable=True)
+        except Exception as exc:  # the lane must survive anything
+            response = error_response(
+                request, "internal-error", f"{type(exc).__name__}: {exc}"
             )
-        job.response = self.server._respond(request, **result)
+        finally:
+            self.budget = None
+        delta = self.logic.stats.delta_from(baseline)
+        if carries_stats:
+            response["stats"] = delta.as_dict()
+        if self.persist is not None:
+            skipped = self.persist.shards_skipped
+            counts["cache_shards_skipped"] = skipped - self._shards_reported
+            self._shards_reported = skipped
+        return {
+            "response": response,
+            "stats": delta,
+            "counts": counts,
+            "epoch": self.logic.epoch,
+        }
 
-    def _execute_op(
-        self, op: str, request: Dict[str, Any], session: ServerSession
+    def _execute(
+        self, request: Dict[str, Any], session: ServerSession, epoch: int
     ) -> Dict[str, Any]:
+        op = request["op"]
         if op == "check":
-            return self._check_paths(request["paths"])
-        if op == "check_text":
-            return session.check_text(request["name"], request["text"])
-        if op == "eval":
-            return session.eval(request["expr"])
-        if op == "stats":
-            return self.server._stats(session, self)
-        if op == "reset":
-            return self.server._reset(self)
-        if op == "shutdown":
-            self.server._shutdown_requested.set()
-            return {"ok": True, "stopping": True}
-        # unreachable: validate_request gates ops
-        return error_response(request, "bad-request", f"unknown op {op!r}")
+            result = _check_result(check_many(request["paths"], jobs=1, logic=self.logic))
+        elif op == "check_text":
+            result = session.check_text(request["name"], request["text"])
+        elif op == "eval":
+            result = session.eval(request["expr"])
+        elif op == "stats":
+            result = {"session": session.describe()}
+        elif op == "reset":
+            # the epoch sync above already reset this engine
+            if self.persist is not None:
+                self.persist.bump_epoch(epoch)
+            for live in self.sessions.values():
+                live.guard_epoch()
+            result = {}
+        else:  # unreachable: the parent answers every other op
+            return error_response(request, "bad-request", f"unknown op {op!r}")
+        return _respond(request, **result)
 
-    def _check_paths(self, paths: List[str]) -> Dict[str, Any]:
-        pool = self.server.pool
-        if pool is None or len(paths) < 2:
-            return _check_result(check_many(paths, jobs=1, logic=self.logic))
-        # one pool, many lanes: dispatches are serialized — the fork
-        # pool's map/watchdog machinery is not reentrant
-        with self.server._pool_lock:
-            report = pool.check_many(paths)
+
+class _Lane:
+    """One engine lane, parent side: a bounded queue, a driver thread
+    and the lane process it drives."""
+
+    def __init__(self, server: "CheckingServer", index: int) -> None:
+        self.server = server
+        self.index = index
+        depth = max(0, server.config.max_queue_depth)
+        self.queue: "queue.Queue[_Job]" = queue.Queue(maxsize=depth)
+        #: the job this lane is currently running (watchdog input)
+        self.current_job: Optional[_Job] = None
+        self.requests_total = 0
+        #: driver-busy wall clock, for the utilization figure in stats
+        self.busy_seconds = 0.0
+        #: live connections routed here (router input)
+        self.connections = 0
+        #: per-lane robustness counters (guarded by server._robust_lock)
+        self.robustness: Dict[str, int] = {key: 0 for key in _LANE_COUNTERS}
+        #: engine counters summed over every reply (server._robust_lock)
+        self.engine = EngineStats()
+        self.shards_skipped = 0
+        #: the lane engine's epoch as of its last reply
+        self.epoch = 0
+        #: the lane process; ``_lock`` guards it against the watchdog,
+        #: ``ping`` and ``stop()``, which signal or reap it
+        self.pid: Optional[int] = None
+        self.sock: Optional[socket.socket] = None
+        self._exit_status: Optional[int] = None
+        self._lock = threading.Lock()
+        #: sessions closed since the last message to the lane
+        self._dropped: List[str] = []
+
+    # ------------------------------------------------------------------
+    # the lane process
+    # ------------------------------------------------------------------
+    def fork(self) -> None:
+        """Fork the lane process from the parent's engine.
+
+        Callers hold ``server._fork_lock``.
+        """
+        server = self.server
+        parent_pid = os.getpid()
+        parent_end, child_end = socket.socketpair()
+        pid = os.fork()
+        if pid == 0:  # the lane process; never returns
+            code = 1
+            try:
+                parent_end.close()
+                server._close_in_lane()
+                _die_with_parent(parent_pid)
+                engine = _LaneEngine(self.index, server.logic, server.config)
+                engine.install_signal_handlers()
+                engine.serve(child_end)
+                code = 0
+            finally:
+                os._exit(code)
+        child_end.close()
+        with self._lock:
+            self.pid, self.sock, self._exit_status = pid, parent_end, None
+        self.epoch = server.logic.epoch
+
+    @property
+    def alive(self) -> bool:
+        return self.pid is not None and not self.reap(block=False)
+
+    def reap(self, block: bool) -> bool:
+        """True once the lane process has exited (reaping it if needed)."""
+        with self._lock:
+            if self._exit_status is None and self.pid is not None:
+                if block:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(self.pid, signal.SIGKILL)
+                try:
+                    pid, status = os.waitpid(self.pid, 0 if block else os.WNOHANG)
+                except ChildProcessError:
+                    pid, status = self.pid, 0
+                if pid == self.pid:
+                    self._exit_status = status
+            return self._exit_status is not None
+
+    def signal(self, signum: int) -> None:
+        with self._lock:
+            if self.pid is not None and self._exit_status is None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(self.pid, signum)
+
+    def shutdown_pipe(self) -> None:
+        """Wake both ends: the driver and the lane process read EOF."""
+        if self.sock is not None:
+            try:
+                self.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+    def respawn(self) -> str:
+        """Reap the dead lane process, fork a fresh one; says why it died."""
+        self.reap(block=True)
+        reason = _exit_reason(self._exit_status)
+        with self.server._fork_lock:
+            if not self.server._stop.is_set():
+                # counted before the new process exists, so a ping that
+                # sees every lane alive again also sees the restart
+                self.count("lane_restarts")
+                self.sock.close()
+                self.fork()
+        return reason
+
+    # ------------------------------------------------------------------
+    def count(self, key: str, amount: int = 1) -> None:
+        with self.server._robust_lock:
+            self.robustness[key] = self.robustness.get(key, 0) + amount
+
+    def drop_session(self, session_id: str) -> None:
+        with self._lock:
+            self._dropped.append(session_id)
+
+    def _take_dropped(self) -> List[str]:
+        with self._lock:
+            dropped, self._dropped = self._dropped, []
+        return dropped
+
+    def cancel_if_hung(self, hang: float) -> None:
+        """Watchdog: cancel the current job once it runs past ``hang``."""
+        with self._lock:
+            job = self.current_job
+            budget = job.budget if job is not None else None
+            if (
+                budget is None
+                or budget.cancelled
+                or time.monotonic() - job.started_at <= hang
+            ):
+                return
+            # the parent's copy records the cancel (a pooled check never
+            # ticks it, so there it is only counted); a lane job aborts
+            # at its next budget tick once SIGUSR1 lands — an idle lane
+            # (the job is pooled) has no budget to cancel
+            budget.cancel("watchdog")
+            if self._exit_status is None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(self.pid, signal.SIGUSR1)
+        self.count("watchdog_cancels")
+
+    # ------------------------------------------------------------------
+    # the driver loop
+    # ------------------------------------------------------------------
+    def spawn_driver(self) -> None:
+        thread = threading.Thread(
+            target=self._drive,
+            name=f"repro-server-lane-{self.index}",
+            daemon=True,
+        )
+        self.server._threads.append(thread)
+        thread.start()
+
+    def _drive(self) -> None:
+        server = self.server
+        while not server._stop.is_set():
+            try:
+                job = self.queue.get(timeout=0.1)
+            except queue.Empty:
+                self._idle()
+                continue
+            self.requests_total += 1
+            busy_from = time.monotonic()
+            try:
+                response = self._run(job)
+            except Exception as exc:  # the driver must survive anything
+                response = error_response(
+                    job.request, "internal-error", f"{type(exc).__name__}: {exc}"
+                )
+            self.busy_seconds += time.monotonic() - busy_from
+            response.setdefault("lane", self.index)
+            server._finish(job, response)
+        # jobs enqueued around the moment of shutdown still get a
+        # response (stop() sweeps once more for the race)
+        server._fail_lane_queue(self, "server is stopping")
+
+    def _idle(self) -> None:
+        if self.reap(block=False):  # died between jobs
+            self.respawn()
+            return
+        dropped = self._take_dropped()
+        if dropped:
+            try:
+                _send(self.sock, {"drop": dropped, "job": None})
+            except OSError:
+                pass  # a dead lane is noticed on the next idle turn
+
+    def _run(self, job: _Job) -> Dict[str, Any]:
+        server = self.server
+        request = job.request
+        op = request["op"]
+        if op == "shutdown":
+            server._shutdown_requested.set()
+            return _respond(request, stopping=True)
+        if job.budget is not None:
+            try:
+                # expired while queued: answer without touching the
+                # engine (or the pool — budgets do not cross its fork)
+                job.budget.check()
+            except CancelledError as exc:
+                self.count(exc.code)
+                return error_response(request, exc.code, str(exc), retryable=True)
+        if op == "check" and server.pool is not None and len(request["paths"]) > 1:
+            return self._run_pooled(job)
+        with server._epoch_lock:
+            if op == "reset":
+                server._epoch += 1
+            epoch = server._epoch
+        response = self._call(job, epoch)
+        if not response.get("ok"):
+            return response
+        if op == "stats":
+            return _respond(request, **server._stats(response["session"]))
+        if op == "reset":
+            if server.pool is not None:
+                # resident workers hold pre-reset engine caches; tear
+                # them down so the next pooled check re-forks cold
+                with server._pool_lock:
+                    server.pool.close()
+            return _respond(request, epoch=epoch)
+        return response
+
+    def _begin(self, job: _Job) -> None:
+        with self._lock:
+            job.started_at = time.monotonic()
+            self.current_job = job
+
+    def _end(self) -> None:
+        with self._lock:
+            self.current_job = None
+
+    def _call(self, job: _Job, epoch: int) -> Dict[str, Any]:
+        """Run one job in the lane process; re-fork the lane if it dies."""
+        server = self.server
+        message = {
+            "drop": self._take_dropped(),
+            "job": {
+                "request": job.request,
+                "session_id": job.session_id,
+                "epoch": epoch,
+                "budget": job.budget,
+            },
+        }
+        self._begin(job)
+        try:
+            _send(self.sock, message)
+            reply = _recv(self.sock)
+        except (EOFError, OSError):
+            reply = None
+        finally:
+            self._end()
+        if reply is None:
+            if server._stop.is_set():
+                return error_response(job.request, "internal-error", "server is stopping")
+            reason = self.respawn()
+            return error_response(
+                job.request,
+                "internal-error",
+                f"engine lane {self.index} died ({reason}); lane restarted",
+                retryable=True,
+            )
+        with server._robust_lock:
+            self.engine.merge(reply["stats"])
+            for key, amount in reply["counts"].items():
+                if key == "cache_shards_skipped":
+                    self.shards_skipped += amount
+                else:
+                    self.robustness[key] = self.robustness.get(key, 0) + amount
+        self.epoch = reply["epoch"]
+        return reply["response"]
+
+    def _run_pooled(self, job: _Job) -> Dict[str, Any]:
+        server = self.server
+        self._begin(job)
+        try:
+            # one pool, many drivers: dispatches are serialized — the
+            # fork pool's map/watchdog machinery is not reentrant
+            with server._pool_lock:
+                report = server.pool.check_many(job.request["paths"])
+        finally:
+            self._end()
         result = _check_result(report, pooled=True)
         result["stats"] = report.stats.as_dict()
-        return result
+        return _respond(job.request, **result)
 
     def describe(self, uptime: float) -> Dict[str, Any]:
         """This lane's row in the ``stats`` response."""
@@ -421,38 +712,38 @@ class _Lane:
         return {
             "index": self.index,
             "engine_alive": self.alive,
+            "pid": self.pid,
+            "peak_rss_mb": _peak_rss_mb(self.pid),
             "queue_depth": self.queue.qsize(),
             "connections": self.connections,
             "requests_total": self.requests_total,
             "utilization": round(self.busy_seconds / uptime, 4) if uptime > 0 else 0.0,
-            "epoch": self.logic.epoch,
+            "epoch": self.epoch,
             "robustness": robustness,
         }
 
 
 class CheckingServer:
-    """A long-running checking service over N warm engine lanes.
+    """A long-running checking service over N engine lane processes.
 
-    Lifecycle: :meth:`start` binds the socket and spins up the lane
-    and accept threads (returns the bound address);
+    Lifecycle: :meth:`start` binds the socket, forks the lanes and
+    spins up the driver and accept threads (returns the bound address);
     :meth:`serve_forever` additionally blocks until a ``shutdown``
     request or :meth:`stop`.  Safe to run in-process for tests — every
-    thread is a daemon thread and :meth:`stop` is idempotent.
+    thread is a daemon thread, :meth:`stop` is idempotent and reaps
+    every lane process.
     """
 
     def __init__(self, config: ServerConfig, logic: Optional[Logic] = None) -> None:
         self.config = config
-        #: lane 0's engine is the caller's (default: the process-wide
-        #: shared one, so pool workers fork with every cache the daemon
-        #: has built up); extra lanes get configuration-equal replicas.
-        base = logic if logic is not None else Checker().logic
-        lane_count = max(1, config.lanes)
+        #: the engine every lane process is forked from (default: the
+        #: process-wide shared one, so lanes and pool workers start with
+        #: every cache the process has built up).  The parent never
+        #: checks on it once the lanes exist.
+        self.logic = logic if logic is not None else Checker().logic
         self._robust_lock = threading.Lock()
-        self._lanes: List[_Lane] = []
         self._threads: List[threading.Thread] = []
-        for index in range(lane_count):
-            engine = base if index == 0 else base.replica()
-            self._lanes.append(_Lane(self, index, engine))
+        self._lanes = [_Lane(self, index) for index in range(max(1, config.lanes))]
         self.pool: Optional[WorkerPool] = (
             WorkerPool(config.jobs, config.cache_dir) if config.jobs > 1 else None
         )
@@ -460,20 +751,24 @@ class CheckingServer:
         #: the server epoch every lane converges to; resumed from the
         #: cache directory's meta.json so it is monotone across daemon
         #: restarts over one cache dir
-        self._epoch = base.epoch
-        self._persist = self._lanes[0].persist
-        if self._persist is not None:
-            self._epoch = max(self._epoch, self._persist.epoch)
+        self._epoch = self.logic.epoch
+        if config.cache_dir is not None:
+            self._epoch = max(self._epoch, ProofCache(config.cache_dir).epoch)
+        self.logic.epoch = self._epoch
         self._epoch_lock = threading.Lock()
-        for lane in self._lanes:
-            lane.logic.epoch = self._epoch
-        self._sessions: Dict[str, ServerSession] = {}
+        #: serializes lane forks against stop(), so no lane is forked
+        #: after stop() has shut the others down
+        self._fork_lock = threading.Lock()
+        #: live session id → its lane's index
+        self._sessions: Dict[str, int] = {}
         self._sessions_lock = threading.Lock()
         self._route_lock = threading.Lock()
         self._conn_threads: set = set()
         self._streams: List[MessageStream] = []
         self._listener: Optional[socket.socket] = None
         self._stop = threading.Event()
+        #: set once stop() has reaped every lane
+        self._stopped = threading.Event()
         self._shutdown_requested = threading.Event()
         self._started = False
         self._session_counter = 0
@@ -487,12 +782,6 @@ class CheckingServer:
         self.address: Optional[Tuple[str, Any]] = None
 
     # ------------------------------------------------------------------
-    # single-lane compatibility surface (lane 0 is "the" engine)
-    # ------------------------------------------------------------------
-    @property
-    def logic(self) -> Logic:
-        return self._lanes[0].logic
-
     @property
     def lanes(self) -> List[_Lane]:
         return self._lanes
@@ -532,7 +821,7 @@ class CheckingServer:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self):
-        """Bind, start the lane/accept threads; returns the address.
+        """Bind, fork the lanes, start the threads; returns the address.
 
         The address is ``("unix", path)`` or ``("tcp", (host, port))``
         with the actually-bound port (useful with ``port=0``).
@@ -556,8 +845,12 @@ class CheckingServer:
         listener.listen(64)
         listener.settimeout(0.2)  # so the accept loop can observe stop
         self._listener = listener
+        # every lane forks before any server thread exists
+        with self._fork_lock:
+            for lane in self._lanes:
+                lane.fork()
         for lane in self._lanes:
-            lane.spawn()
+            lane.spawn_driver()
         for target, name in (
             (self._accept_loop, "repro-server-accept"),
             (self._shutdown_watcher, "repro-server-shutdown"),
@@ -568,15 +861,38 @@ class CheckingServer:
             self._threads.append(thread)
         return self.address
 
+    def _close_in_lane(self) -> None:
+        """In a freshly forked lane: drop the parent's sockets.
+
+        Plain ``close()``, never ``shutdown()`` — these sockets are
+        shared with the parent, which keeps using them.
+        """
+        if self._listener is not None:
+            self._listener.close()
+        for lane in self._lanes:
+            if lane.sock is not None:
+                lane.sock.close()
+
     def serve_forever(self) -> None:
+        """Serve until stopped; returns once every lane is reaped."""
         self.start()
-        self._stop.wait()
+        self._stopped.wait()
 
     def stop(self) -> None:
-        """Shut everything down (idempotent)."""
+        """Shut everything down and reap every lane (idempotent).
+
+        A second caller waits for the first one to finish.
+        """
         if self._stop.is_set():
+            self._stopped.wait()
             return
         self._stop.set()
+        try:
+            self._shut_down()
+        finally:
+            self._stopped.set()
+
+    def _shut_down(self) -> None:
         # wake the shutdown watcher (it blocks on this event forever);
         # with _stop already set it exits instead of re-entering stop().
         # Without the wake, every stop() paid the full join timeout
@@ -596,13 +912,12 @@ class CheckingServer:
         with self._inflight_lock:
             inflight = list(self._inflight)
         for job in inflight:
-            if not job.done.is_set():
-                if job.budget is not None:
-                    job.budget.cancel("server is stopping")
-                job.response = error_response(
-                    job.request, "internal-error", "server is stopping"
-                )
-                job.done.set()
+            self._finish(
+                job, error_response(job.request, "internal-error", "server is stopping")
+            )
+        with self._fork_lock:
+            for lane in self._lanes:
+                lane.shutdown_pipe()
         current = threading.current_thread()
         for thread in list(self._threads) + list(self._conn_threads):
             if thread is not current:
@@ -610,17 +925,26 @@ class CheckingServer:
         if self.pool is not None:
             with self._pool_lock:
                 self.pool.close()
-        for lane in self._lanes:
-            if lane.persist is not None:
-                lane.logic.detach_persistent_cache()
-                lane.persist.flush()
-                lane.persist = None
-        self._persist = None
+        self._stop_lanes()
         if self.config.socket_path and os.path.exists(self.config.socket_path):
             try:
                 os.unlink(self.config.socket_path)
             except OSError:
                 pass
+
+    def _stop_lanes(self) -> None:
+        """SIGTERM, a short grace period, SIGKILL; reap every lane."""
+        for lane in self._lanes:
+            lane.signal(signal.SIGTERM)
+        deadline = time.monotonic() + _STOP_GRACE_SECONDS
+        while time.monotonic() < deadline:
+            if all(lane.reap(block=False) for lane in self._lanes):
+                break
+            time.sleep(0.01)
+        for lane in self._lanes:
+            lane.reap(block=True)
+            if lane.sock is not None:
+                lane.sock.close()
 
     def _shutdown_watcher(self) -> None:
         self._shutdown_requested.wait()
@@ -628,73 +952,26 @@ class CheckingServer:
             time.sleep(0.05)  # let the shutdown response reach its client
             self.stop()
 
-    # ------------------------------------------------------------------
-    # watchdog: hung-job cancellation + lane supervision, all lanes
-    # ------------------------------------------------------------------
     def _watchdog_loop(self) -> None:
         interval = max(0.01, self.config.watchdog_interval)
         hang = self.config.hang_seconds
+        if hang <= 0:
+            return
         while not self._stop.wait(interval):
             for lane in self._lanes:
-                job = lane.current_job
-                if job is not None and hang > 0:
-                    started = job.started_at
-                    budget = job.budget
-                    if (
-                        started
-                        and budget is not None
-                        and not budget.cancelled
-                        and time.monotonic() - started > hang
-                    ):
-                        # cooperative abort: the lane notices at its next
-                        # budget tick and answers with a retryable error.
-                        budget.cancel(
-                            "watchdog: job exceeded hang threshold "
-                            f"({hang:g}s); aborted to keep the lane live"
-                        )
-                        lane.count("watchdog_cancels")
-                if (
-                    lane.thread is not None
-                    and not lane.thread.is_alive()
-                    and not self._stop.is_set()
-                ):
-                    self._restart_lane(lane)
-
-    def _restart_lane(self, lane: _Lane) -> None:
-        """A lane thread died: fail its job, respawn over the warm engine.
-
-        The engine's memo tables only ever hold complete entries
-        (verdicts are cached after the kernel returns), so the warm
-        caches are safe to keep.
-        """
-        lane.count("lane_restarts")
-        job = lane.current_job
-        lane.current_job = None
-        if job is not None and not job.done.is_set():
-            job.response = error_response(
-                job.request,
-                "internal-error",
-                f"engine lane {lane.index} died "
-                f"({lane.failure or 'unknown'}); lane restarted",
-            )
-            job.done.set()
-        lane.failure = None
-        lane.spawn()
+                lane.cancel_if_hung(hang)
 
     # ------------------------------------------------------------------
     # chaos hook
     # ------------------------------------------------------------------
     def poison_lane(self, index: int) -> None:
-        """Kill lane ``index``'s thread via a poison job (chaos only).
+        """SIGKILL lane ``index``'s process and reap it (chaos only).
 
-        Threads cannot be SIGKILLed, so the poison job raises a
-        ``BaseException`` subclass that escapes the lane's per-job
-        exception handling — the closest honest analogue of a lane
-        crash.  The watchdog detects the dead thread and respawns it;
-        surviving lanes keep answering throughout.
+        Its driver notices the death, fails the in-flight job (if any)
+        retryably and re-forks the lane; surviving lanes keep answering
+        throughout.
         """
-        job = _Job({"op": "ping"}, None, poison=True)
-        self._lanes[index].queue.put(job, timeout=5.0)
+        self._lanes[index].reap(block=True)
 
     # ------------------------------------------------------------------
     # connection side
@@ -728,7 +1005,7 @@ class CheckingServer:
     def _ping_response(self, request: Dict[str, Any]) -> Dict[str, Any]:
         self._count("pings")
         lanes_alive = sum(1 for lane in self._lanes if lane.alive)
-        return self._respond(
+        return _respond(
             request,
             ok=True,
             protocol=PROTOCOL_VERSION,
@@ -759,20 +1036,18 @@ class CheckingServer:
             lane.connections += 1
         return lane
 
-    def _make_session(self, lane: _Lane) -> ServerSession:
+    def _new_session(self, lane: _Lane) -> str:
         with self._sessions_lock:
             self._session_counter += 1
-            session = ServerSession(
-                f"s{self._session_counter}", lane.logic, lane_index=lane.index
-            )
-            self._sessions[session.id] = session
-        return session
+            session_id = f"s{self._session_counter}"
+            self._sessions[session_id] = lane.index
+        return session_id
 
     def _handle_connection(self, conn: socket.socket) -> None:
         stream = MessageStream(conn)
         self._streams.append(stream)
         lane: Optional[_Lane] = None
-        session: Optional[ServerSession] = None
+        session_id: Optional[str] = None
         try:
             while not self._stop.is_set():
                 try:
@@ -800,8 +1075,8 @@ class CheckingServer:
                     # routed once, at the first queued request; sticky
                     # for the connection's (= the session's) lifetime
                     lane = self._route(request)
-                    session = self._make_session(lane)
-                job = _Job(request, session, self._job_budget(request))
+                    session_id = self._new_session(lane)
+                job = _Job(request, session_id, self._job_budget(request))
                 with self._inflight_lock:
                     self._inflight.add(job)
                 try:
@@ -841,17 +1116,26 @@ class CheckingServer:
             stream.close()
             if stream in self._streams:
                 self._streams.remove(stream)
-            if session is not None:
+            if session_id is not None:
                 with self._sessions_lock:
-                    self._sessions.pop(session.id, None)
+                    self._sessions.pop(session_id, None)
+                lane.drop_session(session_id)
             if lane is not None:
                 with self._route_lock:
                     lane.connections -= 1
             self._conn_threads.discard(threading.current_thread())
 
     # ------------------------------------------------------------------
-    # queue sweeping
+    # job completion and queue sweeping
     # ------------------------------------------------------------------
+    def _finish(self, job: _Job, response: Dict[str, Any]) -> None:
+        """Answer ``job`` once; a later answer (a driver racing stop())
+        is dropped."""
+        with self._inflight_lock:
+            if not job.done.is_set():
+                job.response = response
+                job.done.set()
+
     def _fail_lane_queue(self, lane: _Lane, reason: str) -> None:
         """Answer every job still queued on ``lane``."""
         while True:
@@ -859,8 +1143,7 @@ class CheckingServer:
                 job = lane.queue.get_nowait()
             except queue.Empty:
                 return
-            job.response = error_response(job.request, "internal-error", reason)
-            job.done.set()
+            self._finish(job, error_response(job.request, "internal-error", reason))
 
     def _fail_queued_jobs(self, reason: str) -> None:
         """Answer every still-queued job so no connection waits forever."""
@@ -868,41 +1151,9 @@ class CheckingServer:
             self._fail_lane_queue(lane, reason)
 
     # ------------------------------------------------------------------
-    # ops that need the whole server (run on the serving lane's thread)
-    # ------------------------------------------------------------------
-    def _reset(self, lane: _Lane) -> Dict[str, Any]:
-        """Bump the server epoch; converge this lane now, others lazily.
-
-        The serving lane resets immediately, so the connection that
-        asked observes cold state on its very next request.  Every
-        other lane converges via :meth:`_Lane.sync_epoch` before its
-        next job — which is exactly strong enough: any request
-        enqueued after this response was sent runs post-reset,
-        wherever it lands.  The epoch is also recorded in the shared
-        cache's ``meta.json``, so a restarted daemon resumes the count.
-        """
-        with self._epoch_lock:
-            self._epoch += 1
-            target = self._epoch
-        lane.logic.reset_caches(epoch=target)
-        if lane.persist is not None:
-            lane.persist.bump_epoch(target)
-        with self._sessions_lock:
-            live_sessions = list(self._sessions.values())
-        for live in live_sessions:
-            # stale sessions self-heal via guard_epoch on their own
-            # lane; the serving lane's can be guarded right here
-            if live.lane_index == lane.index:
-                live.guard_epoch()
-        if self.pool is not None:
-            # resident workers hold pre-reset engine caches; tear
-            # them down so the next pooled check re-forks cold
-            # from the freshly-reset parent.
-            with self._pool_lock:
-                self.pool.close()
-        return {"ok": True, "epoch": target}
-
-    def _stats(self, session: ServerSession, lane: _Lane) -> Dict[str, Any]:
+    def _stats(self, session: Dict[str, Any]) -> Dict[str, Any]:
+        """The ``stats`` body; ``session`` comes from the serving lane,
+        everything else from the parent's per-lane totals."""
         uptime = time.monotonic() - self._started_at
         with self._sessions_lock:
             sessions = len(self._sessions)
@@ -914,17 +1165,13 @@ class CheckingServer:
                 "batches": self.pool.batches,
             }
         robustness = self.robustness
-        robustness["cache_shards_skipped"] = sum(
-            l.persist.shards_skipped for l in self._lanes if l.persist is not None
-        )
         engine = EngineStats()
-        for peer in self._lanes:
-            # other lanes keep mutating their counters; snapshot with
-            # retries rather than pausing the fleet for a stats call
-            engine.merge(
-                peer.logic.stats if peer is lane
-                else _snapshot_stats(peer.logic.stats)
+        with self._robust_lock:
+            robustness["cache_shards_skipped"] = sum(
+                lane.shards_skipped for lane in self._lanes
             )
+            for lane in self._lanes:
+                engine.merge(lane.engine)
         return {
             "ok": True,
             "protocol": PROTOCOL_VERSION,
@@ -936,20 +1183,11 @@ class CheckingServer:
                 "sessions": sessions,
                 "pool": pool_info,
                 "queue": {
-                    "depth": sum(l.queue.qsize() for l in self._lanes),
+                    "depth": sum(lane.queue.qsize() for lane in self._lanes),
                     "max_depth": self.config.max_queue_depth,
                 },
                 "robustness": robustness,
-                "lanes": [l.describe(uptime) for l in self._lanes],
+                "lanes": [lane.describe(uptime) for lane in self._lanes],
             },
-            "session": session.describe(),
+            "session": session,
         }
-
-    @staticmethod
-    def _respond(request: Dict[str, Any], **fields) -> Dict[str, Any]:
-        response: Dict[str, Any] = {"op": request["op"]}
-        if "id" in request:
-            response["id"] = request["id"]
-        response.update(fields)
-        response.setdefault("ok", True)
-        return response

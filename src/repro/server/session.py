@@ -1,4 +1,4 @@
-"""Per-connection sessions: isolated state over one shared engine.
+"""Per-connection sessions: isolated state over one lane's shared engine.
 
 Everything a connection accumulates lives here, and *only* here:
 

@@ -199,9 +199,9 @@ def server_saturation_table(results: Dict[str, object]) -> str:
     ``results`` is the artifact written by
     ``benchmarks/test_bench_server_saturation.py``: one row per
     (clients, lanes) point with ``requests_per_second``.  The ratio
-    column is multi-lane over single-lane at the same client count —
-    on CPython the lanes share the GIL, so the claim this table backs
-    is "never worse beyond noise", not a speedup.
+    column is multi-lane over single-lane at the same client count.
+    Lanes are processes, so the ratio can exceed 1 up to the core
+    count; the gate the table backs is "never worse beyond noise".
     """
     matrix = results.get("matrix") or []
     multi = results.get("multi_lanes", "?")

@@ -71,8 +71,8 @@ _live = [0]  # total entries across _tables
 
 # Intern ids are allocated by a single C-level call (``next`` on an
 # ``itertools.count``), which CPython executes atomically under the
-# GIL.  The daemon's engine lanes construct values from several threads
-# at once; a Python-level read-modify-write here could stamp the same
+# GIL.  Callers may construct values from several threads at once; a
+# Python-level read-modify-write here could stamp the same
 # id on two *different* values, and every id-keyed judgment cache would
 # then be unsound.  The other construction races are benign: two
 # threads interning the same value concurrently may build two canonical

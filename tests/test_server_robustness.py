@@ -2,10 +2,15 @@
 
 Deadlines abort mid-proof with a structured retryable error; the
 bounded queue sheds load instead of queueing unboundedly; the watchdog
-cancels hung requests and respawns a dead engine lane; and ``stop()``
-wakes every blocked connection immediately — no 0.5s polling.
+cancels hung requests and a dead engine lane is re-forked; and
+``stop()`` wakes every blocked connection immediately — no 0.5s
+polling.
+
+Lanes are processes forked from the engine handed to the server, so
+faults are injected into that engine *before* ``start()``.
 """
 
+import multiprocessing
 import threading
 import time
 
@@ -29,15 +34,22 @@ THEORY_HEAVY = """
 SIMPLE = "(define x 1)"
 
 
-def _server(tmp_path, **overrides):
+def _server(tmp_path, logic=None, **overrides):
     settings = dict(
         socket_path=str(tmp_path / "robust.sock"),
         hang_seconds=0.0,  # tests opt in explicitly
     )
     settings.update(overrides)
-    daemon = CheckingServer(ServerConfig(**settings), logic=Logic())
+    daemon = CheckingServer(ServerConfig(**settings), logic=logic or Logic())
     daemon.start()
     return daemon
+
+
+def _chaos_logic(**chaos):
+    """A fresh engine whose theory dispatch stalls as ``chaos`` says."""
+    logic = Logic()
+    logic.dispatch = ChaosDispatch(logic.dispatch, **chaos)
+    return logic
 
 
 def _connect(daemon, **kwargs):
@@ -46,11 +58,8 @@ def _connect(daemon, **kwargs):
 
 class TestDeadlines:
     def test_deadline_exceeded_is_structured_and_prompt(self, tmp_path):
-        daemon = _server(tmp_path)
+        daemon = _server(tmp_path, _chaos_logic(hang=True, max_faults=1))
         try:
-            daemon.logic.dispatch = ChaosDispatch(
-                daemon.logic.dispatch, hang=True, max_faults=1
-            )
             with _connect(daemon) as client:
                 started = time.monotonic()
                 with pytest.raises(ServerError) as info:
@@ -93,11 +102,11 @@ class TestDeadlines:
             daemon.stop()
 
     def test_server_default_deadline_applies(self, tmp_path):
-        daemon = _server(tmp_path, default_deadline_ms=250.0)
+        daemon = _server(
+            tmp_path, _chaos_logic(hang=True, max_faults=1),
+            default_deadline_ms=250.0,
+        )
         try:
-            daemon.logic.dispatch = ChaosDispatch(
-                daemon.logic.dispatch, hang=True, max_faults=1
-            )
             with _connect(daemon) as client:
                 with pytest.raises(ServerError) as info:
                     client.check_text("slow", THEORY_HEAVY)
@@ -105,24 +114,19 @@ class TestDeadlines:
         finally:
             daemon.stop()
 
-    @pytest.mark.parametrize("lane_index", [0, -1])
-    def test_lane_dispatch_checks_the_budget_before_a_session(
-        self, tmp_path, monkeypatch, lane_index
-    ):
-        daemon = CheckingServer(
-            ServerConfig(socket_path=str(tmp_path / "robust.sock"), lanes=2),
-            logic=Logic(),
-        )
-        lane = daemon.lanes[lane_index]
+    def test_dispatch_checks_the_budget_before_a_session(self, monkeypatch):
+        # every lane runs a fork of one engine, so the dispatch boundary
+        # is pinned on a bare engine
+        logic = Logic()
         sessions = []
         monkeypatch.setattr(
-            lane.logic, "theory_session", lambda env: sessions.append(env)
+            logic, "theory_session", lambda env: sessions.append(env)
         )
         budget = Budget()
         budget.cancel("test")
-        with lane.logic.budgeted(budget):
+        with logic.budgeted(budget):
             with pytest.raises(JobCancelled):
-                lane.logic.dispatch.decide_one(Env(), lin_le(obj_int(0), Var("x")))
+                logic.dispatch.decide_one(Env(), lin_le(obj_int(0), Var("x")))
         assert sessions == []
 
     def test_bad_deadline_rejected_at_the_wire(self, tmp_path):
@@ -145,11 +149,11 @@ class TestDeadlines:
 
 class TestBackpressure:
     def test_queue_overflow_sheds_with_retryable_error(self, tmp_path):
-        daemon = _server(tmp_path, max_queue_depth=1)
+        daemon = _server(
+            tmp_path, _chaos_logic(delay_seconds=0.4, max_faults=2),
+            max_queue_depth=1,
+        )
         try:
-            daemon.logic.dispatch = ChaosDispatch(
-                daemon.logic.dispatch, delay_seconds=0.4, max_faults=2
-            )
             outcomes = []
             lock = threading.Lock()
 
@@ -182,11 +186,11 @@ class TestBackpressure:
             daemon.stop()
 
     def test_shed_request_can_be_retried_to_success(self, tmp_path):
-        daemon = _server(tmp_path, max_queue_depth=1)
+        daemon = _server(
+            tmp_path, _chaos_logic(delay_seconds=0.3, max_faults=1),
+            max_queue_depth=1,
+        )
         try:
-            daemon.logic.dispatch = ChaosDispatch(
-                daemon.logic.dispatch, delay_seconds=0.3, max_faults=1
-            )
             blocker = threading.Thread(
                 target=lambda: _connect(daemon).check_text("bl", THEORY_HEAVY),
                 daemon=True,
@@ -202,11 +206,10 @@ class TestBackpressure:
 
 class TestWatchdog:
     def test_hung_request_is_cancelled(self, tmp_path):
-        daemon = _server(tmp_path, hang_seconds=0.5)
+        daemon = _server(
+            tmp_path, _chaos_logic(hang=True, max_faults=1), hang_seconds=0.5
+        )
         try:
-            daemon.logic.dispatch = ChaosDispatch(
-                daemon.logic.dispatch, hang=True, max_faults=1
-            )
             with _connect(daemon) as client:
                 with pytest.raises(ServerError) as info:
                     client.check_text("wedged", THEORY_HEAVY)
@@ -218,34 +221,35 @@ class TestWatchdog:
             daemon.stop()
 
     def test_dead_lane_is_respawned(self, tmp_path):
-        daemon = _server(tmp_path)
+
+        class LaneKiller:
+            def __init__(self, inner):
+                self.inner = inner
+                # shared memory: the re-forked lane must see the kill
+                self.killed = multiprocessing.Value("b", 0)
+
+            def _fault(self):
+                if not self.killed.value:
+                    self.killed.value = 1
+                    raise SystemExit("injected lane death")
+
+            def decide(self, env, goals):
+                self._fault()
+                return self.inner.decide(env, goals)
+
+            def decide_one(self, env, goal):
+                self._fault()
+                return self.inner.decide_one(env, goal)
+
+        logic = Logic()
+        logic.dispatch = LaneKiller(logic.dispatch)
+        daemon = _server(tmp_path, logic)
         try:
-
-            class LaneKiller:
-                def __init__(self, inner):
-                    self.inner = inner
-                    self.killed = False
-
-                def _fault(self):
-                    if not self.killed:
-                        self.killed = True
-                        raise SystemExit("injected lane death")
-
-                def decide(self, env, goals):
-                    self._fault()
-                    return self.inner.decide(env, goals)
-
-                def decide_one(self, env, goal):
-                    self._fault()
-                    return self.inner.decide_one(env, goal)
-
-            daemon.logic.dispatch = LaneKiller(daemon.logic.dispatch)
             with _connect(daemon) as client:
                 with pytest.raises(ServerError) as info:
                     client.check_text("killer", THEORY_HEAVY)
                 assert "lane" in str(info.value)
-                # the watchdog respawns the lane within an interval or
-                # two: service continues
+                # the lane's driver re-forks it: service continues
                 deadline = time.monotonic() + 5.0
                 while not client.ping()["engine_alive"]:
                     assert time.monotonic() < deadline, "lane never respawned"
@@ -258,10 +262,7 @@ class TestWatchdog:
 
 class TestStopWakesWaiters:
     def test_stop_releases_blocked_connections_immediately(self, tmp_path):
-        daemon = _server(tmp_path)
-        daemon.logic.dispatch = ChaosDispatch(
-            daemon.logic.dispatch, hang=True, max_faults=1
-        )
+        daemon = _server(tmp_path, _chaos_logic(hang=True, max_faults=1))
         released = []
 
         def blocked():
@@ -284,11 +285,8 @@ class TestStopWakesWaiters:
 
 class TestObservability:
     def test_ping_is_answered_off_lane(self, tmp_path):
-        daemon = _server(tmp_path)
+        daemon = _server(tmp_path, _chaos_logic(hang=True, max_faults=1))
         try:
-            daemon.logic.dispatch = ChaosDispatch(
-                daemon.logic.dispatch, hang=True, max_faults=1
-            )
             def wedge():
                 try:
                     with _connect(daemon, retries=0) as busy_client:
