@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.budget import Budget, JobCancelled
+from repro.budget import Budget, JobCancelled, current_budget
 from repro.chaos.faults import ChaosDispatch
 from repro.logic.env import Env
 from repro.logic.prove import Logic
@@ -50,6 +50,27 @@ def _chaos_logic(**chaos):
     logic = Logic()
     logic.dispatch = ChaosDispatch(logic.dispatch, **chaos)
     return logic
+
+
+class _CancelAtDispatch:
+    """Cancels the running job's budget on entry, then delegates."""
+
+    def __init__(self, inner, consults):
+        self.inner = inner
+        self.consults = consults
+
+    def _cancel(self):
+        with self.consults.get_lock():
+            self.consults.value += 1
+        current_budget().cancel("test")
+
+    def decide(self, env, goals):
+        self._cancel()
+        return self.inner.decide(env, goals)
+
+    def decide_one(self, env, goal):
+        self._cancel()
+        return self.inner.decide_one(env, goal)
 
 
 def _connect(daemon, **kwargs):
@@ -128,6 +149,44 @@ class TestDeadlines:
             with pytest.raises(JobCancelled):
                 logic.dispatch.decide_one(Env(), lin_le(obj_int(0), Var("x")))
         assert sessions == []
+
+    @pytest.mark.parametrize("lane_index", [0, -1])
+    def test_lane_dispatch_checks_the_budget_before_a_session(
+        self, tmp_path, monkeypatch, lane_index
+    ):
+        # the same boundary inside each forked lane: the job's budget is
+        # cancelled as dispatch is entered, and no theory session may
+        # open after that; the counters live in shared memory
+        logic = Logic()
+        consults = multiprocessing.Value("i", 0)
+        late_sessions = multiprocessing.Value("i", 0)
+        open_session = logic.theory_session
+
+        def counting_session(env):
+            budget = current_budget()
+            if budget is not None and budget.cancelled:
+                with late_sessions.get_lock():
+                    late_sessions.value += 1
+            return open_session(env)
+
+        monkeypatch.setattr(logic, "theory_session", counting_session)
+        logic.dispatch = _CancelAtDispatch(logic.dispatch, consults)
+        daemon = _server(tmp_path, logic, lanes=2)
+        try:
+            lane = daemon.lanes[lane_index]
+            affinity = next(
+                key for key in (f"k{n}" for n in range(64))
+                if CheckingServer.lane_index_for(key, 2) == lane.index
+            )
+            with _connect(daemon, affinity=affinity) as client:
+                with pytest.raises(ServerError) as info:
+                    client.check_text("heavy", THEORY_HEAVY)
+                assert info.value.code == "cancelled"
+            assert lane.requests_total == 1
+            assert consults.value >= 1
+            assert late_sessions.value == 0
+        finally:
+            daemon.stop()
 
     def test_bad_deadline_rejected_at_the_wire(self, tmp_path):
         daemon = _server(tmp_path)
