@@ -2,7 +2,7 @@
 
 The reader turns program text into a tree of Python values:
 
-* symbols   -> :class:`Symbol`
+* symbols   -> :class:`Symbol` (interned: one live instance per name)
 * integers  -> :class:`int`
 * booleans  -> :class:`bool` (``#t``/``#true``, ``#f``/``#false``)
 * hex bytes -> :class:`int` (``#x1b`` style bitvector literals)
@@ -10,17 +10,28 @@ The reader turns program text into a tree of Python values:
 * lists     -> :class:`list` (``(...)`` and ``[...]`` both read as lists,
   matching Racket's convention that brackets are interchangeable)
 
-The hot path is a single regex pass that splits the text into a token
-list; line/column information is recovered lazily (by counting
-newlines up to the token offset) only when an error is reported, so
-well-formed input pays nothing for location tracking.
+The hot path is one ``findall`` over the text, which returns every
+lexeme (whitespace is skipped by the regex search itself, so there is
+no per-token call for it), then one loop over the lexemes that builds
+the tree on an explicit stack of open lists: nesting depth is a
+property of the program and never touches the Python stack.
+:func:`read`, :func:`read_many` and :func:`read_all` all run that one
+loop.  Atom lexemes go through a bounded lexeme → value table; every
+value it holds (ints, bools, interned symbols) is immutable, so sharing
+them between trees is safe.
+
+Offsets are not kept on the hot path.  An error re-scans the text
+with ``finditer`` to find the offending lexeme's offset, and
+line/column follow from counting newlines up to it.  The rare text
+containing ``#|`` takes that positional scan from the start, because a
+nested block comment is not a regular language.
 """
 
 from __future__ import annotations
 
 import re
-
-from dataclasses import dataclass
+import threading
+import weakref
 from typing import Iterator, List, Tuple, Union
 
 __all__ = [
@@ -41,15 +52,55 @@ class ReaderError(SyntaxError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """An interned-by-value Racket symbol.
+#: name → weak reference to the live :class:`Symbol` of that name
+_SYMBOLS: "dict[str, weakref.ref]" = {}
+#: serialises creating a symbol and sweeping dead entries; a lookup of
+#: a live symbol never takes it
+_SYMBOLS_LOCK = threading.Lock()
+#: the table size at which the next creation sweeps dead entries
+_sweep_at = 1024
 
-    Symbols compare by name so they can be used directly as dictionary
-    keys in the parser's dispatch tables.
+
+class Symbol:
+    """An interned Racket symbol: one live instance per name.
+
+    ``Symbol(name)`` returns the live instance of ``name`` if there is
+    one, so equality is identity and hashing is by identity — both
+    C-level slots.  Two live instances of one name can never exist at
+    once: the table holds weak references, creation runs under a lock
+    and re-checks the table there, and a dead entry is only ever
+    replaced or swept under that lock.  The table therefore shrinks
+    back when a long-lived process stops using names, while identity
+    equality stays sound.
+
+    Instances are immutable; ``copy``, ``deepcopy`` and unpickling all
+    return the canonical instance.
     """
 
-    name: str
+    __slots__ = ("name", "__weakref__")
+
+    def __new__(cls, name: str) -> "Symbol":
+        ref = _SYMBOLS.get(name)
+        if ref is not None:
+            symbol = ref()
+            if symbol is not None:
+                return symbol
+        return _create_symbol(cls, name)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"Symbol is immutable (cannot set {attr!r})")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"Symbol is immutable (cannot delete {attr!r})")
+
+    def __reduce__(self):
+        return (Symbol, (self.name,))
+
+    def __copy__(self) -> "Symbol":
+        return self
+
+    def __deepcopy__(self, memo) -> "Symbol":
+        return self
 
     def __repr__(self) -> str:
         return self.name
@@ -58,33 +109,56 @@ class Symbol:
         return self.name
 
 
+def _create_symbol(cls, name: str) -> Symbol:
+    global _sweep_at
+    with _SYMBOLS_LOCK:
+        ref = _SYMBOLS.get(name)
+        symbol = ref() if ref is not None else None
+        if symbol is None:
+            if len(_SYMBOLS) >= _sweep_at:
+                dead = [key for key, entry in list(_SYMBOLS.items()) if entry() is None]
+                for key in dead:
+                    del _SYMBOLS[key]
+                _sweep_at = max(1024, 2 * len(_SYMBOLS))
+            symbol = object.__new__(cls)
+            object.__setattr__(symbol, "name", name)
+            _SYMBOLS[name] = weakref.ref(symbol)
+        return symbol
+
+
 SExp = Union[Symbol, int, bool, str, list]
 
 _DELIMS = {"(": ")", "[": "]", "{": "}"}
 
-#: One alternative per token shape.  Order matters: block comments and
+#: One alternative per lexeme shape; whitespace matches none of them,
+#: so a ``findall`` search skips it.  Order matters: block comments and
 #: quotes must come before the catch-all atom class (``#`` and ``'``
-#: are legal *inside* an atom, so only a match at token start makes
-#: them special — exactly the behaviour of the old char-at-a-time
-#: reader).  Every character matches some alternative, so the
-#: tokenizer can never stall.
+#: are legal *inside* an atom, so only a match at lexeme start makes
+#: them special).  Every other character starts some alternative, so
+#: the search never skips anything but whitespace.  A lone ``"`` is an
+#: unterminated string (a well-formed one is at least two characters).
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\n\r\f\v]+)
-    | (?P<comment>;[^\n]*)
-    | (?P<open>[(\[{])
-    | (?P<close>[)\]}])
-    | (?P<string>"(?:[^"\\]|\\[\s\S])*")
-    | (?P<badstring>")
-    | (?P<blockcomment>\#\|)
-    | (?P<quote>')
-    | (?P<atom>[^()\[\]{}"'; \t\n\r\f\v][^()\[\]{}"; \t\n\r\f\v]*)
+      ;[^\n]*
+    | [(\[{]
+    | [)\]}]
+    | "(?:[^"\\]|\\[\s\S])*"
+    | "
+    | \#\|
+    | '
+    | [^()\[\]{}"'; \t\n\r\f\v][^()\[\]{}"; \t\n\r\f\v]*
     """,
     re.VERBOSE,
 )
 
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
+
+#: atom lexeme → value; cleared whenever it reaches the cap
+_ATOMS: dict = {}
+_ATOM_CACHE_MAX = 1 << 14
+_MISSING = object()
+_QUOTE = Symbol("quote")
 
 
 def _location(text: str, pos: int) -> Tuple[int, int]:
@@ -96,6 +170,11 @@ def _location(text: str, pos: int) -> Tuple[int, int]:
 def _error(text: str, message: str, pos: int) -> ReaderError:
     line, column = _location(text, pos)
     return ReaderError(message, line, column)
+
+
+def _error_at(text: str, message: str, index: int) -> ReaderError:
+    """A :class:`ReaderError` at the ``index``-th lexeme of ``text``."""
+    return _error(text, message, _scan(text)[1][index])
 
 
 def _unescape(match: "re.Match[str]") -> str:
@@ -123,44 +202,40 @@ def _skip_block_comment(text: str, pos: int) -> int:
     raise _error(text, "unterminated block comment", start)
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    """Split ``text`` into ``(kind, lexeme, offset)`` tokens.
+def _scan(text: str) -> Tuple[List[str], List[int]]:
+    """The lexemes of ``text`` and their offsets, block comments skipped.
 
-    ``kind`` is one of ``"("``, ``")"``, ``"a"`` (atom), ``"s"``
-    (string, already unescaped) or ``"'"`` (quote).
+    Raises the first unterminated string or block comment in text
+    order.
     """
-    tokens: List[Tuple[str, str, int]] = []
-    append = tokens.append
-    match = _TOKEN_RE.match
+    lexemes: List[str] = []
+    offsets: List[int] = []
     pos = 0
-    n = len(text)
-    while pos < n:
-        m = match(text, pos)
-        kind = m.lastgroup
-        if kind == "atom":
-            append(("a", m.group(), pos))
-        elif kind == "open":
-            append(("(", m.group(), pos))
-        elif kind == "close":
-            append((")", m.group(), pos))
-        elif kind == "string":
-            body = m.group()[1:-1]
-            if "\\" in body:
-                body = _ESCAPE_RE.sub(_unescape, body)
-            append(("s", body, pos))
-        elif kind == "quote":
-            append(("'", "'", pos))
-        elif kind == "blockcomment":
-            pos = _skip_block_comment(text, pos)
-            continue
-        elif kind == "badstring":
-            raise _error(text, "unterminated string", pos)
-        # ws / comment: skip
-        pos = m.end()
-    return tokens
+    while True:
+        for match in _TOKEN_RE.finditer(text, pos):
+            lexeme = match.group()
+            if lexeme == "#|":
+                pos = _skip_block_comment(text, match.start())
+                break
+            if lexeme == '"':
+                raise _error(text, "unterminated string", match.start())
+            lexemes.append(lexeme)
+            offsets.append(match.start())
+        else:
+            return lexemes, offsets
 
 
-def _parse_atom(text: str, lexeme: str, pos: int) -> SExp:
+def _lex(text: str) -> List[str]:
+    """The lexemes of ``text`` (line comments included, as ``;...``)."""
+    if "#|" in text:
+        return _scan(text)[0]
+    lexemes = _TOKEN_RE.findall(text)
+    if '"' in lexemes:
+        raise _error_at(text, "unterminated string", lexemes.index('"'))
+    return lexemes
+
+
+def _parse_atom(text: str, lexeme: str, index: int) -> SExp:
     if lexeme in ("#t", "#true", "#T"):
         return True
     if lexeme in ("#f", "#false", "#F"):
@@ -169,12 +244,12 @@ def _parse_atom(text: str, lexeme: str, pos: int) -> SExp:
         try:
             return int(lexeme[2:], 16)
         except ValueError:
-            raise _error(text, f"bad hex literal {lexeme!r}", pos) from None
+            raise _error_at(text, f"bad hex literal {lexeme!r}", index) from None
     if lexeme.startswith(("#b", "#B")):
         try:
             return int(lexeme[2:], 2)
         except ValueError:
-            raise _error(text, f"bad binary literal {lexeme!r}", pos) from None
+            raise _error_at(text, f"bad binary literal {lexeme!r}", index) from None
     try:
         return int(lexeme)
     except ValueError:
@@ -182,39 +257,63 @@ def _parse_atom(text: str, lexeme: str, pos: int) -> SExp:
     return Symbol(lexeme)
 
 
-def _read_datum(
-    text: str, tokens: List[Tuple[str, str, int]], i: int
-) -> Tuple[SExp, int]:
-    if i >= len(tokens):
-        raise _error(text, "unexpected end of input", len(text))
-    kind, lexeme, pos = tokens[i]
-    if kind == "a":
-        return _parse_atom(text, lexeme, pos), i + 1
-    if kind == "s":
-        return lexeme, i + 1
-    if kind == "(":
-        closer = _DELIMS[lexeme]
-        items: List[SExp] = []
-        j = i + 1
-        while True:
-            if j >= len(tokens):
-                raise _error(text, "unclosed parenthesis", pos)
-            nkind, nlex, npos = tokens[j]
-            if nkind == ")":
-                if nlex != closer:
-                    raise _error(
-                        text,
-                        f"mismatched delimiter: expected {closer!r}, got {nlex!r}",
-                        npos,
-                    )
-                return items, j + 1
-            item, j = _read_datum(text, tokens, j)
-            items.append(item)
-    if kind == ")":
-        raise _error(text, f"unexpected {lexeme!r}", pos)
-    # kind == "'"
-    datum, j = _read_datum(text, tokens, i + 1)
-    return [Symbol("quote"), datum], j
+def _read_data(text: str, lexemes: List[str]) -> Iterator[Tuple[SExp, int]]:
+    """Yield each top-level datum with the index of the lexeme after it.
+
+    ``stack`` holds one ``[items, closer, index]`` frame per open list;
+    a quote is a frame whose closer is ``None`` and which closes by
+    itself once it holds its one datum.
+    """
+    atoms = _ATOMS
+    delims = _DELIMS
+    stack: List[list] = []
+    for index, lexeme in enumerate(lexemes):
+        first = lexeme[0]
+        if first in delims:
+            stack.append([[], delims[first], index])
+            continue
+        if first == ")" or first == "]" or first == "}":
+            if not stack or stack[-1][1] is None:
+                raise _error_at(text, f"unexpected {lexeme!r}", index)
+            items, closer, _ = stack.pop()
+            if lexeme != closer:
+                raise _error_at(
+                    text,
+                    f"mismatched delimiter: expected {closer!r}, got {lexeme!r}",
+                    index,
+                )
+            datum = items
+        elif first == ";":
+            continue
+        elif first == '"':
+            datum = lexeme[1:-1]
+            if "\\" in datum:
+                datum = _ESCAPE_RE.sub(_unescape, datum)
+        elif first == "'":
+            stack.append([[_QUOTE], None, index])
+            continue
+        else:
+            datum = atoms.get(lexeme, _MISSING)
+            if datum is _MISSING:
+                datum = _parse_atom(text, lexeme, index)
+                if len(atoms) >= _ATOM_CACHE_MAX:
+                    atoms.clear()
+                atoms[lexeme] = datum
+        # Hand the finished datum to its enclosing frame, closing any
+        # quote frames it completes.
+        while stack:
+            frame = stack[-1]
+            frame[0].append(datum)
+            if frame[1] is not None:
+                break
+            stack.pop()
+            datum = frame[0]
+        else:
+            yield datum, index + 1
+    if stack:
+        if stack[-1][1] is None:
+            raise _error(text, "unexpected end of input", len(text))
+        raise _error_at(text, "unclosed parenthesis", stack[-1][2])
 
 
 def read(text: str) -> SExp:
@@ -223,28 +322,21 @@ def read(text: str) -> SExp:
     Raises :class:`ReaderError` if there is no datum or if there is
     trailing (non-comment) input after the first datum.
     """
-    tokens = _tokenize(text)
-    datum, i = _read_datum(text, tokens, 0)
-    if i < len(tokens):
-        raise _error(text, "unexpected trailing input", tokens[i][2])
-    return datum
+    lexemes = _lex(text)
+    for datum, end in _read_data(text, lexemes):
+        for index in range(end, len(lexemes)):
+            if lexemes[index][0] != ";":
+                raise _error_at(text, "unexpected trailing input", index)
+        return datum
+    raise _error(text, "unexpected end of input", len(text))
 
 
 def read_many(text: str) -> Iterator[SExp]:
     """Yield every top-level datum in ``text``."""
-    tokens = _tokenize(text)
-    i = 0
-    while i < len(tokens):
-        datum, i = _read_datum(text, tokens, i)
+    for datum, _ in _read_data(text, _lex(text)):
         yield datum
 
 
 def read_all(text: str) -> List[SExp]:
     """Read every top-level datum in ``text`` into a list."""
-    tokens = _tokenize(text)
-    out: List[SExp] = []
-    i = 0
-    while i < len(tokens):
-        datum, i = _read_datum(text, tokens, i)
-        out.append(datum)
-    return out
+    return [datum for datum, _ in _read_data(text, _lex(text))]

@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..budget import current_budget
 from .linform import SAT, UNKNOWN, UNSAT, Constraint
+from .reference import fm_satisfiable
 
 __all__ = ["Simplex"]
 
@@ -523,45 +524,85 @@ class Simplex:
 
         UNSAT means integer-infeasible; SAT means rationally feasible
         with every atom integral *or* the node budget ran out while a
-        rational model existed (the same "SAT may be rational-only"
-        contract the Fourier-Motzkin core documents).
-        """
-        budget = [max_nodes]
-        return self._check_integer(max_pivots, budget)
+        rational model existed and the Fourier-Motzkin core could not
+        refute the asserted bounds either (the same "SAT may be
+        rational-only" contract that core documents).
 
-    def _check_integer(self, max_pivots: int, budget: List[int]) -> str:
-        verdict = self.check(max_pivots)
-        if verdict != SAT:
-            return verdict
-        fractional = None
-        for var in self._atom_of:
-            if self._beta[var].denominator != 1:
-                fractional = var
-                break
-        if fractional is None:
-            return SAT
-        if budget[0] <= 0:
-            return SAT  # rational model exists; cannot afford to refute it
-        budget[0] -= 1
-        self.branches += 1
-        split = floor(self._beta[fractional])
-        outcomes = []
-        for is_upper, bound in ((True, split), (False, split + 1)):
-            self.push()
-            try:
-                if is_upper:
-                    feasible = self._assert_upper(fractional, bound)
+        The search is a depth-first walk with an explicit stack of
+        ``[var, split, children tried]`` nodes, the ``x ≤ ⌊v⌋`` child
+        first: its depth is bounded by the node budget, not by the
+        Python stack.  Each tried child holds one :meth:`push`; every
+        one is popped before returning, however the walk ends.
+        """
+        nodes = max_nodes
+        open_nodes: List[List] = []
+        pushed = 0
+        unknown = False
+        exhausted = False
+        try:
+            feasible = True
+            while True:
+                verdict = self.check(max_pivots) if feasible else UNSAT
+                if verdict == SAT:
+                    fractional = None
+                    for var in self._atom_of:
+                        if self._beta[var].denominator != 1:
+                            fractional = var
+                            break
+                    if fractional is None:
+                        return SAT
+                    if nodes <= 0:
+                        exhausted = True
+                        break
+                    nodes -= 1
+                    self.branches += 1
+                    open_nodes.append([fractional, floor(self._beta[fractional]), 0])
+                elif verdict == UNKNOWN:
+                    unknown = True
+                # Descend into the next untried child, backtracking past
+                # nodes whose two children are both done.
+                while open_nodes:
+                    node = open_nodes[-1]
+                    var, split, tried = node
+                    if tried:
+                        self.pop()
+                        pushed -= 1
+                    if tried == 2:
+                        open_nodes.pop()
+                        continue
+                    node[2] = tried + 1
+                    self.push()
+                    pushed += 1
+                    if tried == 0:
+                        feasible = self._assert_upper(var, split)
+                    else:
+                        feasible = self._assert_lower(var, split + 1)
+                    break
                 else:
-                    feasible = self._assert_lower(fractional, bound)
-                branch = self._check_integer(max_pivots, budget) if feasible else UNSAT
-            finally:
+                    return UNKNOWN if unknown else UNSAT
+        finally:
+            for _ in range(pushed):
                 self.pop()
-            if branch == SAT:
-                return SAT
-            outcomes.append(branch)
-        if outcomes[0] == UNSAT and outcomes[1] == UNSAT:
+        # Out of nodes with only a rational model: the bounds asserted
+        # at entry (now restored) may still be integer-infeasible in a
+        # way branching on unbounded atoms never closes, which the
+        # Fourier-Motzkin core's GCD tightening can refute.
+        if exhausted and fm_satisfiable(self._bound_constraints()) == UNSAT:
             return UNSAT
-        return UNKNOWN
+        return SAT
+
+    def _bound_constraints(self) -> List[Constraint]:
+        """The asserted bounds as constraints over atoms."""
+        form_of = {slack: form for form, slack in self._forms.items()}
+        for var, atom in self._atom_of.items():
+            form_of[var] = ((atom, 1),)
+        constraints: List[Constraint] = []
+        for var, bound in self._upper.items():
+            constraints.append(Constraint(form_of[var], -bound))
+        for var, bound in self._lower.items():
+            negated = tuple((atom, -coeff) for atom, coeff in form_of[var])
+            constraints.append(Constraint(negated, bound))
+        return constraints
 
     # ------------------------------------------------------------------
     # entailment by refutation

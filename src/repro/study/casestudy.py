@@ -25,9 +25,8 @@ test suite asserts so on a scaled corpus.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..checker.check import Checker
 from ..checker.errors import CheckError, UnsupportedFeature
@@ -110,38 +109,61 @@ def _expand_module(source: str) -> List[SExp]:
     return [expand(form) for form in read_all(source)]
 
 
-def access_sites(forms: Sequence[SExp]) -> int:
-    """Count unique vector operations (post-expansion, pre-order)."""
-    count = 0
-    stack: List[SExp] = list(forms)
-    while stack:
-        node = stack.pop(0)
+def _sites(forms: Sequence[SExp]) -> Iterator[List[list]]:
+    """Walk ``forms`` in pre-order; yield at every vector access.
+
+    What is yielded is the live walk stack: one ``[container, next
+    position]`` frame per list on the path from ``forms`` down to the
+    access, whose own list is ``container[next position - 1]`` of the
+    last frame.  Each node is visited once, so a whole walk is linear.
+    """
+    frames: List[list] = [[forms, 0]]
+    while frames:
+        frame = frames[-1]
+        container, position = frame
+        if position == len(container):
+            frames.pop()
+            continue
+        frame[1] = position + 1
+        node = container[position]
         if isinstance(node, list) and node:
             head = node[0]
             if isinstance(head, Symbol) and head.name in _SAFE_MAP:
-                count += 1
-            stack = list(node) + stack
-    return count
+                yield frames
+            frames.append([node, 0])
+
+
+def access_sites(forms: Sequence[SExp]) -> int:
+    """Count unique vector operations (post-expansion, pre-order)."""
+    return sum(1 for _ in _sites(forms))
 
 
 def safe_replace(forms: Sequence[SExp], index: int) -> List[SExp]:
-    """Replace the ``index``-th access with its safe- counterpart."""
-    forms = copy.deepcopy(list(forms))
-    counter = [0]
+    """Replace the ``index``-th access with its safe- counterpart.
 
-    def walk(node: SExp) -> None:
-        if isinstance(node, list) and node:
-            head = node[0]
-            if isinstance(head, Symbol) and head.name in _SAFE_MAP:
-                if counter[0] == index:
-                    node[0] = Symbol(_SAFE_MAP[head.name])
-                counter[0] += 1
-            for child in node:
-                walk(child)
-
-    for form in forms:
-        walk(form)
-    return forms
+    Only the spine from the module down to the swapped access is
+    copied; every other subtree is shared with ``forms``.  That is
+    safe because neither side is mutated afterwards — the parser and
+    the expander build new lists — and each copy keeps its list type,
+    so an :class:`~repro.syntax.macros.Expanded` form stays tagged.
+    """
+    result = list(forms)
+    for count, frames in enumerate(_sites(forms)):
+        if count == index:
+            parent = result
+            for depth in range(1, len(frames)):
+                position = frames[depth - 1][1] - 1
+                original = frames[depth][0]
+                child = type(original)(original)
+                parent[position] = child
+                parent = child
+            position = frames[-1][1] - 1
+            access = frames[-1][0][position]
+            swapped = type(access)(access)
+            swapped[0] = Symbol(_SAFE_MAP[access[0].name])
+            parent[position] = swapped
+            break
+    return result
 
 
 # ----------------------------------------------------------------------

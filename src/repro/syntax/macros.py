@@ -20,10 +20,27 @@ from typing import List, Sequence, Tuple
 from ..sexp.reader import SExp, Symbol
 from ..tr.results import fresh_name
 
-__all__ = ["MacroError", "expand", "expand_body", "gensym"]
+__all__ = ["Expanded", "MacroError", "expand", "expand_body", "gensym"]
+
 
 class MacroError(SyntaxError):
     """Raised on a malformed use of a derived form."""
+
+
+class Expanded(list):
+    """The root list of a form :func:`expand` returned.
+
+    Expansion is a fixpoint — expanding an expanded form changes
+    nothing and draws no ``gensym`` — so the tag lets :func:`expand`
+    and :func:`~repro.syntax.parser.parse_program` skip a form that is
+    already expanded instead of walking it again.  The tag is sound
+    because expanded forms are never mutated: the parser builds new
+    lists, and :func:`~repro.study.casestudy.safe_replace` copies the
+    spine it swaps a head on (``vec-ref`` and ``safe-vec-ref`` are
+    both core names, so the copy is still expanded).
+    """
+
+    __slots__ = ()
 
 
 def gensym(hint: str = "g") -> Symbol:
@@ -46,6 +63,20 @@ _IF = _sym("if")
 _LAMBDA = _sym("λ")
 _LETREC = _sym("letrec")
 _VOID = [_sym("void")]
+_AND = _sym("and")
+_OR = _sym("or")
+_COND = _sym("cond")
+_ELSE = _sym("else")
+_DEFINE = _sym("define")
+_COLON = _sym(":")
+_PLUS = _sym("+")
+_TIMES = _sym("*")
+_LT = _sym("<")
+_GT = _sym(">")
+_EQ = _sym("=")
+_LEN = _sym("len")
+_IN_RANGE = _sym("in-range")
+_VEC_REF = _sym("vec-ref")
 
 _VARIADIC_ARITH = {"+", "*"}
 _CHAINED_CMP = {"<", "<=", "≤", ">", ">=", "≥", "="}
@@ -88,7 +119,12 @@ def expand(sexp: SExp) -> SExp:
     body-splice ``(container, index, forms)`` that runs
     :func:`expand_body` only after the slots pushed above it (a
     ``letrec``'s binding expressions) have fully expanded.
+
+    A list result comes back tagged :class:`Expanded`, and a tagged
+    argument is returned as is.
     """
+    if type(sexp) is Expanded:
+        return sexp
     root: List[SExp] = [sexp]
     stack: List[tuple] = [(root, 0, None)]
     while stack:
@@ -100,11 +136,16 @@ def expand(sexp: SExp) -> SExp:
             container[index] = expand_body(body_forms)
             stack.append((container, index, None))
             continue
-        node = _rewrite_head(container[index])
-        container[index] = node
+        node = container[index]
         if not isinstance(node, list) or not node:
-            continue
+            continue  # atoms and () expand to themselves
         head = node[0]
+        if isinstance(head, Symbol) and head.name in _REWRITTEN_HEADS:
+            node = _rewrite_head(node)
+            container[index] = node
+            if not isinstance(node, list) or not node:
+                continue
+            head = node[0]
         if isinstance(head, Symbol):
             name = head.name
             if name in (":", "struct", "require", "provide"):
@@ -158,12 +199,17 @@ def expand(sexp: SExp) -> SExp:
                 container[index] = new
                 stack.append((new, 2, node[2:]))
                 continue
-        # default: expand every item, left to right
+        # default: expand every item, left to right (only lists can
+        # change, so atoms get no slot)
         new = list(node)
         container[index] = new
         for item_index in reversed(range(len(new))):
-            stack.append((new, item_index, None))
-    return root[0]
+            if isinstance(new[item_index], list):
+                stack.append((new, item_index, None))
+    result = root[0]
+    if isinstance(result, list):
+        return Expanded(result)
+    return result
 
 
 def expand_body(forms: Sequence[SExp]) -> SExp:
@@ -236,7 +282,7 @@ def _lower_chain(sexp: list) -> SExp:
             names.append(name)
         else:
             names.append(operand)
-    body: SExp = [_sym("and")] + [
+    body: SExp = [_AND] + [
         [op, a, b] for a, b in zip(names, names[1:])
     ]
     for name, rhs in reversed(bindings):
@@ -255,11 +301,11 @@ def _expand_cond(sexp: list) -> SExp:
     if not isinstance(clause, list) or not clause:
         raise MacroError(f"bad cond clause: {clause!r}")
     test = clause[0]
-    if test == _sym("else"):
+    if test == _ELSE:
         if len(clauses) != 1:
             raise MacroError("cond: else clause must be last")
         return _begin(clause[1:])
-    rest = [_sym("cond")] + clauses[1:]
+    rest = [_COND] + clauses[1:]
     return [_IF, test, _begin(clause[1:]), rest]
 
 
@@ -281,7 +327,7 @@ def _expand_and(sexp: list) -> SExp:
         return True
     if len(args) == 1:
         return args[0]
-    return [_IF, args[0], [_sym("and")] + args[1:], False]
+    return [_IF, args[0], [_AND] + args[1:], False]
 
 
 def _expand_or(sexp: list) -> SExp:
@@ -291,7 +337,7 @@ def _expand_or(sexp: list) -> SExp:
     if len(args) == 1:
         return args[0]
     tmp = gensym("or")
-    return [_LET1, [tmp, args[0]], [_IF, tmp, tmp, [_sym("or")] + args[1:]]]
+    return [_LET1, [tmp, args[0]], [_IF, tmp, tmp, [_OR] + args[1:]]]
 
 
 def _expand_let(sexp: list) -> SExp:
@@ -338,9 +384,9 @@ def _expand_named_let(sexp: list) -> SExp:
         elif (
             isinstance(binding, list)
             and len(binding) == 4
-            and binding[1] == _sym(":")
+            and binding[1] == _COLON
         ):
-            params.append([binding[0], _sym(":"), binding[2]])
+            params.append([binding[0], _COLON, binding[2]])
             inits.append(binding[3])
         else:
             raise MacroError(f"bad named-let binding: {binding!r}")
@@ -357,7 +403,7 @@ def _parse_range_clause(clause: SExp):
     ):
         raise MacroError(f"bad for clause: {clause!r}")
     var, seq = clause
-    if not (isinstance(seq, list) and seq and seq[0] == _sym("in-range")):
+    if not (isinstance(seq, list) and seq and seq[0] == _IN_RANGE):
         raise MacroError(f"only (in-range ...) sequences are supported: {seq!r}")
     args = seq[1:]
     if len(args) == 1:
@@ -379,27 +425,27 @@ def _expand_for_loop(clause: SExp, body: Sequence[SExp], accumulate: str) -> SEx
     acc = gensym("acc")
     start_name = gensym("start")
     end_name = gensym("end")
-    test_op = _sym("<") if step > 0 else _sym(">")
+    test_op = _LT if step > 0 else _GT
     if accumulate == "sum":
         initial: SExp = 0
-        combine: SExp = [_sym("+"), acc, _begin(body)]
+        combine: SExp = [_PLUS, acc, _begin(body)]
         base: SExp = acc
     elif accumulate == "product":
         initial = 1
-        combine = [_sym("*"), acc, _begin(body)]
+        combine = [_TIMES, acc, _begin(body)]
         base = acc
     else:  # plain for: accumulate nothing
         initial = 0
         combine = [_LET1, [gensym("ignore"), _begin(body)], 0]
         base = _VOID
-    recur = [loop, [_sym("+"), step, pos], combine]
+    recur = [loop, [_PLUS, step, pos], combine]
     lam = [
         _LAMBDA,
         [pos, acc],
         [
-            _sym("cond"),
-            [[test_op, pos, end_name], [_sym("define"), var, pos], recur],
-            [_sym("else"), base],
+            _COND,
+            [[test_op, pos, end_name], [_DEFINE, var, pos], recur],
+            [_ELSE, base],
         ],
     ]
     return [
@@ -444,15 +490,15 @@ def _expand_for_fold(sexp: list) -> SExp:
     pos = gensym("pos")
     start_name = gensym("start")
     end_name = gensym("end")
-    test_op = _sym("<") if step > 0 else _sym(">")
-    recur = [loop, [_sym("+"), step, pos], _begin(sexp[3:])]
+    test_op = _LT if step > 0 else _GT
+    recur = [loop, [_PLUS, step, pos], _begin(sexp[3:])]
     lam = [
         _LAMBDA,
         [pos, acc_name],
         [
-            _sym("cond"),
-            [[test_op, pos, end_name], [_sym("define"), var, pos], recur],
-            [_sym("else"), acc_name],
+            _COND,
+            [[test_op, pos, end_name], [_DEFINE, var, pos], recur],
+            [_ELSE, acc_name],
         ],
     ]
     return [
@@ -479,18 +525,18 @@ def _expand_vec_match(sexp: list) -> SExp:
     if not (isinstance(pat_clause, list) and len(pat_clause) >= 2):
         raise MacroError(f"bad vec-match clause: {pat_clause!r}")
     pattern = pat_clause[0]
-    if not (isinstance(else_clause, list) and else_clause[0] == _sym("else")):
+    if not (isinstance(else_clause, list) and else_clause[0] == _ELSE):
         raise MacroError("vec-match needs an else clause")
     vec_name = gensym("vec")
     body = _begin(pat_clause[1:])
     for index in reversed(range(len(pattern))):
-        body = [_LET1, [pattern[index], [_sym("vec-ref"), vec_name, index]], body]
+        body = [_LET1, [pattern[index], [_VEC_REF, vec_name, index]], body]
     return [
         _LET1,
         [vec_name, subject],
         [
             _IF,
-            [_sym("="), [_sym("len"), vec_name], len(pattern)],
+            [_EQ, [_LEN, vec_name], len(pattern)],
             body,
             _begin(else_clause[1:]),
         ],
@@ -512,3 +558,6 @@ _MACROS = {
     "for/fold": _expand_for_fold,
     "vec-match": _expand_vec_match,
 }
+
+#: every head name :func:`_rewrite_head` can act on
+_REWRITTEN_HEADS = frozenset(_MACROS) | _VARIADIC_ARITH | _CHAINED_CMP

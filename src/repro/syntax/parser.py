@@ -46,7 +46,7 @@ from .ast import (
     VarE,
     VecE,
 )
-from .macros import MacroError, expand, expand_body
+from .macros import Expanded, MacroError, expand, expand_body
 
 __all__ = ["ParseError", "parse_program", "parse_expr_text"]
 
@@ -97,7 +97,8 @@ class _Parser:
     # ------------------------------------------------------------------
     def parse_program(self, forms: Sequence[SExp]) -> Program:
         annotations: Dict[str, Type] = {}
-        defines: List[Tuple[str, SExp]] = []
+        #: (name, right-hand side, whether the define was already expanded)
+        defines: List[Tuple[str, SExp, bool]] = []
         body_forms: List[SExp] = []
         top = _Scope({})
 
@@ -109,7 +110,7 @@ class _Parser:
                 self._register_struct(form)
             elif _is_form(form, "define"):
                 name, rhs = self._normalize_define(form)
-                defines.append((name, rhs))
+                defines.append((name, rhs, type(form) is Expanded))
                 self._used_names.add(name)
                 top.bindings[name] = name
             elif _is_form(form, "require") or _is_form(form, "provide"):
@@ -118,9 +119,10 @@ class _Parser:
                 body_forms.append(form)
 
         parsed_defines: List[Define] = []
-        for name, rhs in defines:
-            expr = self.parse_expr(expand(rhs), top)
+        for name, rhs, expanded in defines:
+            expr = self.parse_expr(rhs if expanded else expand(rhs), top)
             parsed_defines.append(Define(name, expr, annotations.get(name)))
+        # ``expand`` hands an already expanded form straight back.
         body = tuple(self.parse_expr(expand(form), top) for form in body_forms)
         return Program(tuple(parsed_defines), body)
 
@@ -165,16 +167,18 @@ class _Parser:
 
     # ------------------------------------------------------------------
     def parse_expr(self, sexp: SExp, scope: _Scope) -> Expr:
-        if isinstance(sexp, bool):
-            return BoolE(sexp)
-        if isinstance(sexp, int):
-            return IntE(sexp)
-        if isinstance(sexp, str):
-            return StrE(sexp)
-        if isinstance(sexp, Symbol):
+        # most common shapes first; bool before int (bool is an int)
+        if isinstance(sexp, list):
+            if sexp:
+                return self._parse_compound(sexp, scope)
+        elif isinstance(sexp, Symbol):
             return self._parse_symbol(sexp, scope)
-        if isinstance(sexp, list) and sexp:
-            return self._parse_compound(sexp, scope)
+        elif isinstance(sexp, bool):
+            return BoolE(sexp)
+        elif isinstance(sexp, int):
+            return IntE(sexp)
+        elif isinstance(sexp, str):
+            return StrE(sexp)
         raise ParseError(f"cannot parse {sexp!r}")
 
     def _parse_symbol(self, sym: Symbol, scope: _Scope) -> Expr:
@@ -262,9 +266,14 @@ class _Parser:
         # (let (x : τ rhs) body).  Whole let *spines* are parsed by one
         # call — macro towers (`let*`, internal defines, `begin`) lower
         # to chains whose length tracks the source program, and parsing
-        # must not recurse once per link.
+        # must not recurse once per link.  The whole spine binds into
+        # one child scope: each right-hand side is parsed before its
+        # own name is (re)bound, so overwriting a name there shadows
+        # exactly as a scope per link would, and a lookup costs O(1)
+        # rather than O(spine length).
         spine: List[Tuple[str, Expr]] = []
         current = sexp
+        inner = scope.child()
         while True:
             if len(current) != 3 or not isinstance(current[1], list):
                 raise ParseError(f"bad core let: {current!r}")
@@ -280,18 +289,16 @@ class _Parser:
                 name_sym, ann, rhs_form = binding[0], binding[2], binding[3]
             else:
                 raise ParseError(f"bad core let binding: {binding!r}")
-            rhs = self.parse_expr(rhs_form, scope)
+            rhs = self.parse_expr(rhs_form, inner)
             if ann is not None:
                 rhs = AnnE(rhs, parse_type(ann))
-            inner = scope.child()
             unique = self.fresh_binding(inner, name_sym.name)
             spine.append((unique, rhs))
-            scope = inner
             body_form = current[2]
-            if _is_form(body_form, "let1") and scope.lookup("let1") is None:
+            if _is_form(body_form, "let1") and inner.lookup("let1") is None:
                 current = body_form
                 continue
-            body = self.parse_expr(body_form, scope)
+            body = self.parse_expr(body_form, inner)
             break
         for unique, rhs in reversed(spine):
             body = LetE(unique, rhs, body)
@@ -415,15 +422,20 @@ def _max_embedded_index(forms: Sequence[SExp]) -> int:
     like generated ones (the reader does accept ``%`` in symbols).
     """
     best = -1
-    stack: List[SExp] = list(forms)
+    stack: List[Sequence[SExp]] = [forms]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(item)
-        elif isinstance(item, Symbol):
-            match = _FRESHLIKE_NAME.search(item.name)
-            if match:
-                best = max(best, int(match.group(1)))
+        for item in pop():
+            kind = type(item)
+            if kind is Symbol:
+                # only a name with a ``%`` can match; test that first
+                if "%" in item.name:
+                    match = _FRESHLIKE_NAME.search(item.name)
+                    if match and int(match.group(1)) > best:
+                        best = int(match.group(1))
+            elif kind is list or isinstance(item, list):
+                push(item)
     return best
 
 

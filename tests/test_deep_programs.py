@@ -6,13 +6,16 @@ macro expansion, let parsing, let synthesis and proposition
 assimilation — so a ~500-level ``let``/``if`` tower died with
 ``RecursionError`` at the default interpreter limit.  The layered
 kernel (worklist saturation, iterative and/or proving) plus the
-spine-looping front end check these programs in O(1) stack.
+spine-looping front end check these programs in O(1) stack.  The
+reader recursed too, once per list level; it is a stack loop now, and
+the front-end cases below go to 10,000 levels.
 
 These tests run at whatever recursion limit the host interpreter has —
 they must pass *without* raising it.
 """
 
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,9 +23,13 @@ from repro.checker.check import Checker, check_program_text
 from repro.checker.errors import CheckError
 from repro.logic.env import Env
 from repro.logic.prove import Logic
+from repro.sexp.reader import read, read_all, read_many
+from repro.syntax.ast import LetE
 from repro.syntax.parser import parse_program
 
 DEPTH = 500
+#: nesting depth for the front end alone (reader and parser)
+FRONT_END_DEPTH = 10_000
 
 
 def deep_if_let(depth: int) -> str:
@@ -146,3 +153,66 @@ class TestDeepNesting:
             assert logic.proves(env, goal)
         finally:
             sys.setrecursionlimit(limit)
+
+
+@contextmanager
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def nested_lists(depth: int) -> str:
+    return "(" * depth + "x" + ")" * depth
+
+
+def list_depth(datum) -> int:
+    depth = 0
+    while isinstance(datum, list):
+        assert len(datum) == 1
+        datum = datum[0]
+        depth += 1
+    return depth
+
+
+def let_tower(depth: int) -> str:
+    """``(let ([x0 0]) (let ([x1 (+ x0 1)]) ... x{depth-1}))``."""
+    lines = ["(let ([x0 0])"] + [
+        f"(let ([x{index} (+ x{index - 1} 1)])" for index in range(1, depth)
+    ]
+    return "\n".join(lines) + f"\nx{depth - 1}" + ")" * depth
+
+
+class TestDeepFrontEnd:
+    """The reader and the parser hold no Python frame per nesting level."""
+
+    def test_read_10000_levels(self):
+        with default_recursion_limit():
+            datum = read(nested_lists(FRONT_END_DEPTH))
+        assert list_depth(datum) == FRONT_END_DEPTH
+
+    def test_read_many_10000_levels(self):
+        text = nested_lists(FRONT_END_DEPTH) + " 'y " + nested_lists(FRONT_END_DEPTH)
+        with default_recursion_limit():
+            data = list(read_many(text))
+        assert len(data) == 3
+        assert [list_depth(data[0]), list_depth(data[2])] == [FRONT_END_DEPTH] * 2
+
+    def test_read_all_10000_levels(self):
+        text = nested_lists(FRONT_END_DEPTH) + "\n; done\n" + nested_lists(FRONT_END_DEPTH)
+        with default_recursion_limit():
+            data = read_all(text)
+        assert [list_depth(datum) for datum in data] == [FRONT_END_DEPTH] * 2
+
+    def test_parse_10000_level_let_tower(self):
+        with default_recursion_limit():
+            program = parse_program(let_tower(FRONT_END_DEPTH))
+        (expr,) = program.body
+        depth = 0
+        while isinstance(expr, LetE):
+            depth += 1
+            expr = expr.body
+        assert depth == FRONT_END_DEPTH

@@ -1,9 +1,15 @@
 """Tests for the S-expression reader and printer."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sexp.printer import pretty_sexp, write_sexp
+from repro.sexp import reader
 from repro.sexp.reader import ReaderError, Symbol, read, read_all
 
 
@@ -124,6 +130,76 @@ class TestReaderErrors:
     def test_bad_hex(self):
         with pytest.raises(ReaderError):
             read("#xZZ")
+
+
+class TestSymbolInterning:
+    def test_one_instance_per_name(self):
+        assert Symbol("interned-a") is Symbol("interned-a")
+        assert Symbol("interned-a") is not Symbol("interned-b")
+        assert read("(interned-a interned-a)")[1] is Symbol("interned-a")
+
+    def test_a_read_symbol_finds_its_dict_key(self):
+        table = {Symbol("k"): 1}
+        assert table[read("k")] == 1
+        assert Symbol("k") != "k"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_returns_the_canonical_instance(self, protocol):
+        symbol = Symbol("pickled")
+        assert pickle.loads(pickle.dumps(symbol, protocol)) is symbol
+        tree = [symbol, [symbol, 1]]
+        assert pickle.loads(pickle.dumps(tree, protocol))[1][0] is symbol
+
+    def test_copy_and_deepcopy_return_self(self):
+        symbol = Symbol("copied")
+        assert copy.copy(symbol) is symbol
+        assert copy.deepcopy(symbol) is symbol
+        assert copy.deepcopy([symbol])[0] is symbol
+
+    def test_immutable(self):
+        symbol = Symbol("frozen")
+        with pytest.raises(AttributeError):
+            symbol.name = "thawed"
+        with pytest.raises(AttributeError):
+            symbol.extra = 1
+        with pytest.raises(AttributeError):
+            del symbol.name
+        assert symbol.name == "frozen"
+
+    def test_concurrent_creation_yields_one_instance_per_name(self):
+        names = [f"threaded-{index}" for index in range(1000)]
+        barrier = threading.Barrier(8, timeout=60)
+        results = [None] * 8
+
+        def create(slot):
+            barrier.wait()
+            results[slot] = [Symbol(name) for name in names]
+
+        threads = [threading.Thread(target=create, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for column in zip(*results):
+            assert all(symbol is column[0] for symbol in column)
+        assert [symbol.name for symbol in results[0]] == names
+
+    def test_table_stays_bounded_when_names_are_dropped(self):
+        before = len(reader._SYMBOLS)
+        for index in range(10**6):
+            Symbol(f"transient-{index}")
+        assert len(reader._SYMBOLS) <= 2 * before + 1024
+        # a live symbol survives every sweep with its identity
+        kept = Symbol("kept-across-sweeps")
+        for index in range(10_000):
+            Symbol(f"transient-again-{index}")
+        assert Symbol("kept-across-sweeps") is kept
 
 
 class TestPrinter:

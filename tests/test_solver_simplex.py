@@ -17,7 +17,7 @@ Three invariant families from the Dutertre–de Moura design:
 import itertools
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.solvers.linform import SAT, UNKNOWN, UNSAT, Constraint
 from repro.solvers.reference import fm_entails, fm_satisfiable
@@ -181,9 +181,22 @@ class TestPushPop:
         assert_tableau_invariants(sx)
 
 
+#: integer-infeasible with x and y unbounded: the rational solutions
+#: force z = 1 and x − y = −2/3, so branching on x or y never closes
+#: and the node budget runs out on a rational-only model
+UNBOUNDED_BRANCHING = [
+    c({"x": 1, "y": 1}, 0),
+    c({"x": 2, "y": -2, "z": 3}, -2),
+    c({"x": 3, "y": -3, "z": 1}, 1),
+    c({"x": -3, "y": 3, "z": -2}, 0),
+]
+
+
 class TestAgreementWithFM:
     @settings(max_examples=200, deadline=None)
     @given(constraints_strategy())
+    @example(UNBOUNDED_BRANCHING)
+    @example(UNBOUNDED_BRANCHING + [c({"y": 1, "z": 1}, 0), c({"x": -1, "y": 2}, 0)])
     def test_satisfiability_agreement(self, constraints):
         fm = fm_satisfiable(constraints)
         sx = Simplex()
@@ -195,6 +208,17 @@ class TestAgreementWithFM:
             # simplex claims *integer* infeasibility beyond FM's
             # rational reasoning — confirm against the grid
             assert not integer_point_exists(constraints)
+
+    def test_deep_branching_is_iterative_and_pops_every_frame(self):
+        # 4096 nodes of branch-and-bound on unbounded atoms nest far
+        # deeper than the default recursion limit
+        sx = Simplex()
+        assert ingest(sx, UNBOUNDED_BRANCHING)
+        bounds = (dict(sx._lower), dict(sx._upper))
+        assert sx.check_integer(max_nodes=4096) == UNSAT
+        assert sx.branches == 4096
+        assert len(sx._trail) == 1
+        assert (sx._lower, sx._upper) == bounds
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -6,7 +6,15 @@ import pytest
 
 from repro.corpus.generator import build_all_libraries
 from repro.corpus.patterns import instantiate
-from repro.study.casestudy import analyze_instance, analyze_library, run_case_study
+from repro.sexp.reader import read_all
+from repro.study.casestudy import (
+    access_sites,
+    analyze_instance,
+    analyze_library,
+    run_case_study,
+    safe_replace,
+)
+from repro.syntax.macros import expand
 from repro.study.report import (
     corpus_table,
     figure9_table,
@@ -53,6 +61,43 @@ class TestPerPatternTiers:
 
     def test_unsafe_pattern(self):
         assert self._tier("mutable_cache") == "unsafe"
+
+
+class TestAccessSites:
+    """Counting and swapping sites is one linear pre-order walk."""
+
+    ACCESSES = 5000
+
+    @pytest.fixture(scope="class")
+    def big_module(self):
+        # 1000 functions with five accesses each, in nested and sibling
+        # positions, plus a named-let loop per function
+        defines = []
+        for index in range(self.ACCESSES // 5):
+            defines.append(
+                f"(define (g{index} [v : (Vectorof Int)])"
+                f" (let loop ([i 0])"
+                f" (when (< i 1) (vec-set! v 0 (vec-ref v (vec-ref v 0)))))"
+                f" (+ (vec-ref v 1) (vec-ref v 2)))"
+            )
+        return [expand(form) for form in read_all("\n".join(defines))]
+
+    def test_counts_every_access(self, big_module):
+        assert access_sites(big_module) == self.ACCESSES
+
+    def test_every_counted_site_can_be_swapped(self, big_module):
+        for site in (0, 1, 2499, self.ACCESSES - 1):
+            swapped = safe_replace(big_module, site)
+            assert access_sites(swapped) == self.ACCESSES - 1
+        # one past the last site swaps nothing
+        assert safe_replace(big_module, self.ACCESSES) == big_module
+
+    def test_swap_shares_everything_off_the_spine(self, big_module):
+        swapped = safe_replace(big_module, self.ACCESSES - 1)
+        assert swapped[:-1] == big_module[:-1]
+        assert all(a is b for a, b in zip(swapped[:-1], big_module[:-1]))
+        assert swapped[-1] is not big_module[-1]
+        assert type(swapped[-1]) is type(big_module[-1])
 
 
 class TestMiniStudy:
