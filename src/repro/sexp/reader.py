@@ -55,8 +55,9 @@ class ReaderError(SyntaxError):
 #: name → weak reference to the live :class:`Symbol` of that name
 _SYMBOLS: "dict[str, weakref.ref]" = {}
 #: serialises creating a symbol and sweeping dead entries; a lookup of
-#: a live symbol never takes it
-_SYMBOLS_LOCK = threading.Lock()
+#: a live symbol never takes it.  Re-entrant, because an allocation
+#: under it can run a collection whose finalizers create symbols.
+_SYMBOLS_LOCK = threading.RLock()
 #: the table size at which the next creation sweeps dead entries
 _sweep_at = 1024
 
