@@ -6,7 +6,9 @@ checking, this package checks whole corpora — forked workers, one
 long-lived engine per worker, merged statistics, and a
 content-addressed verdict store that survives runs (so repeated
 campaigns, watch modes and fuzz shards stop re-proving identical
-queries).
+queries).  The store is an append-only log of JSON segments: each
+flush writes one new file, readers merge them all, and a compacting
+flush folds them back into one.
 
 Entry points: :func:`~repro.batch.pipeline.check_many` (the ``check
 --jobs/--cache-dir`` CLI path) and

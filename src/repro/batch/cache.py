@@ -12,16 +12,29 @@ verdict store:
   engine configuration; a program entry by the digest of its source
   text.  Equal keys mean equal queries, so a hit returns exactly what
   the search would recompute.
-* **Sharded JSON on disk.**  Entries live in ``shards/<00..ff>.json``
-  under the cache directory, keyed by the first byte of the digest —
-  loads stay small and a shard rewrite touches 1/256th of the store.
-  ``meta.json`` records the format version and engine configuration;
-  a mismatch quarantines nothing and simply starts empty.
-* **Single-writer discipline.**  Workers never write the store:
-  each accumulates its new entries as a *delta* (:meth:`delta`),
-  ships it to the parent with its results, and the parent
-  :meth:`absorb`\\ s and :meth:`flush`\\ es once.  Concurrent
-  campaigns against one directory at worst redo work.
+* **An append-only segment log on disk.**  Every file under
+  ``shards/`` is one flush's delta: a JSON object of entries, written
+  to a uniquely named ``.tmp`` file and ``os.replace``\\ d to
+  ``.json``, so a reader only ever sees whole segments.  A flush reads
+  nothing and writes one file.  A handle lists ``shards/`` once (on
+  first access, and again after :meth:`drop_memory`) and merges every
+  readable segment into one in-memory view.  ``meta.json`` records the
+  format version and the reset epoch; an older format starts empty.
+* **Compaction.**  A handle holding more than
+  :data:`COMPACT_SEGMENTS` segments flushes its whole merged view as
+  one segment and only then unlinks exactly the segments it loaded.
+  Segments other processes wrote after its listing are never touched,
+  so concurrent flushers — daemon lanes, fuzz shards, batch parents —
+  lose nothing.
+* **Single-writer discipline per run.**  Pool workers never write the
+  store: each accumulates its new entries as a *delta*
+  (:meth:`delta`), ships it to the parent with its results, and the
+  parent :meth:`absorb`\\ s and :meth:`flush`\\ es once.
+
+Damage reads as absence.  A garbage segment, or valid JSON of the wrong
+shape, is counted in ``shards_skipped``, served as empty and unlinked
+by the handle's next flush; a malformed entry inside a good segment is
+counted the same way and served as absent.
 
 Environment digests are cached per :class:`~repro.logic.env.Env`
 instance (computing one is O(Γ)), and are only computed at all when a
@@ -35,7 +48,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..logic.env import Env
 from ..tr.intern import node_digest
@@ -44,7 +57,13 @@ from ..tr.props import Prop
 __all__ = ["ProofCache", "env_digest"]
 
 #: bump when the on-disk layout or key derivation changes
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
+
+#: a flush from a handle holding more segments than this compacts them
+COMPACT_SEGMENTS = 16
+
+#: listings a read retries when segments vanish under a compaction
+_RELIST_ATTEMPTS = 3
 
 #: per-Env memo of content digests, keyed by the env's exact fingerprint
 _env_digests: Dict[object, str] = {}
@@ -100,8 +119,24 @@ def env_digest(env: Env) -> str:
     return digest
 
 
+def _valid_program(value: object) -> bool:
+    """Whether a stored program entry has the ``[ok, error, types]`` shape."""
+    if not (isinstance(value, list) and len(value) == 3):
+        return False
+    ok, error, types = value
+    return (
+        isinstance(ok, bool)
+        and isinstance(error, str)
+        and isinstance(types, dict)
+        and all(
+            isinstance(name, str) and isinstance(ty, str)
+            for name, ty in types.items()
+        )
+    )
+
+
 class ProofCache:
-    """A sharded on-disk verdict store (proof queries + whole programs)."""
+    """An append-only on-disk verdict store (proof queries + whole programs)."""
 
     #: torn ``.tmp`` files older than this are swept at open (seconds);
     #: young ones may belong to a live concurrent flush and are left alone
@@ -110,12 +145,18 @@ class ProofCache:
     def __init__(self, directory: str, config_key: str = "") -> None:
         self.directory = directory
         self.config_key = config_key
-        #: digest-keyed in-memory view, loaded shard by shard on demand
-        self._shards: Dict[str, Dict[str, object]] = {}
+        #: merged view of the loaded segments (``None`` until first access)
+        self._view: Optional[Dict[str, object]] = None
+        #: names of the segments folded into ``_view``, this handle's own
+        #: flushes included — exactly what a compaction may unlink
+        self._loaded: List[str] = []
+        #: names of segments found unreadable; the next flush unlinks them
+        self._unreadable: Set[str] = set()
         #: entries added this run and not yet flushed
         self._dirty: Dict[str, object] = {}
-        #: corrupt/unreadable shard reads survived (each one served as
-        #: empty — checks recompute and the next flush rewrites the shard)
+        #: corrupt/unreadable segments and malformed entries survived
+        #: (each one served as absent — checks recompute and the next
+        #: flush repairs the store)
         self.shards_skipped = 0
         #: optional EngineStats.rule_hits-style dict for the counter
         self._stats: Optional[Dict[str, int]] = None
@@ -150,8 +191,8 @@ class ProofCache:
     def _sweep_stale_tmp(self) -> None:
         """Remove torn temp files a crashed flush left behind.
 
-        A flush writes ``<prefix>.<random>.tmp`` then ``os.replace``\\ s
-        it over the shard; a process killed in between strands the tmp
+        A flush writes ``<stamp>.<random>.tmp`` then ``os.replace``\\ s
+        it to ``.json``; a process killed in between strands the tmp
         file.  Only files older than :data:`STALE_TMP_SECONDS` are
         removed — a young one may be a concurrent flush mid-write.
         """
@@ -213,26 +254,65 @@ class ProofCache:
                 pass
             raise
 
-    def _shard_of(self, key: str) -> Dict[str, object]:
-        prefix = key[:2]
-        shard = self._shards.get(prefix)
-        if shard is None:
-            path = os.path.join(self._shard_dir(), prefix + ".json")
-            try:
-                with open(path) as handle:
-                    shard = json.load(handle)
-            except FileNotFoundError:
-                shard = {}  # simply never written: not corruption
-            except (OSError, ValueError):
-                # garbage/truncated shard: serve it as empty — callers
-                # recompute, and the next flush rewrites it whole.
-                shard = {}
-                self._skip_shard()
-            if not isinstance(shard, dict):
-                shard = {}  # valid JSON, wrong shape (e.g. a bare list)
-                self._skip_shard()
-            self._shards[prefix] = shard
-        return shard
+    def _segment_names(self) -> List[str]:
+        """The segments on disk now, oldest first (names sort by stamp)."""
+        try:
+            names = os.listdir(self._shard_dir())
+        except FileNotFoundError:
+            return []
+        return sorted(name for name in names if name.endswith(".json"))
+
+    def _scan(self) -> Tuple[Dict[str, object], List[str], List[str]]:
+        """Merge every readable segment on disk into one view.
+
+        Returns the view, the names merged and the names found
+        unreadable.  A segment that vanishes between listing and
+        opening was folded into a newer one by a concurrent compaction;
+        the listing is retried a few times so that newer segment is
+        picked up.
+        """
+        view: Dict[str, object] = {}
+        loaded: List[str] = []
+        unreadable: List[str] = []
+        seen: Set[str] = set()
+        for _attempt in range(_RELIST_ATTEMPTS):
+            vanished = False
+            for name in self._segment_names():
+                if name in seen:
+                    continue
+                seen.add(name)
+                try:
+                    with open(os.path.join(self._shard_dir(), name), "rb") as handle:
+                        segment = json.loads(handle.read())
+                except FileNotFoundError:
+                    vanished = True
+                    continue
+                except (OSError, ValueError):
+                    segment = None  # garbage/truncated
+                if isinstance(segment, dict):
+                    view.update(segment)
+                    loaded.append(name)
+                else:
+                    unreadable.append(name)  # or valid JSON, wrong shape
+            if not vanished:
+                break
+        return view, loaded, unreadable
+
+    def _load(self) -> Dict[str, object]:
+        view, loaded, unreadable = self._scan()
+        for name in unreadable:
+            self._skip_shard()
+            self._unreadable.add(name)
+        self._view = view
+        self._loaded = loaded
+        return view
+
+    def _malformed(self, key: str) -> None:
+        """Drop an entry of the wrong shape: it is served as absent."""
+        self._skip_shard()
+        self._dirty.pop(key, None)
+        if self._view is not None:
+            self._view.pop(key, None)
 
     # ------------------------------------------------------------------
     # epoch coordination (multi-lane daemon, daemon restarts)
@@ -296,23 +376,38 @@ class ProofCache:
     # ------------------------------------------------------------------
     # reads / writes
     # ------------------------------------------------------------------
-    def get_prove(self, key: str) -> Optional[bool]:
+    def _lookup(self, key: str) -> object:
         value = self._dirty.get(key)
         if value is None:
-            value = self._shard_of(key).get(key)
-        return value if isinstance(value, bool) else None
+            view = self._view
+            if view is None:
+                view = self._load()
+            value = view.get(key)
+        return value
+
+    def get_prove(self, key: str) -> Optional[bool]:
+        value = self._lookup(key)
+        if value is None or isinstance(value, bool):
+            return value
+        self._malformed(key)
+        return None
 
     def put_prove(self, key: str, verdict: bool) -> None:
-        if self._shard_of(key).get(key) != verdict:
+        view = self._view
+        if view is None:
+            view = self._load()
+        if view.get(key) != verdict:
             self._dirty[key] = verdict
 
     def get_program(self, key: str) -> Optional[Tuple[bool, str, Dict[str, str]]]:
         """A stored module verdict: (ok, error-or-empty, pretty types)."""
-        value = self._dirty.get(key)
+        value = self._lookup(key)
         if value is None:
-            value = self._shard_of(key).get(key)
-        if isinstance(value, list) and len(value) == 3:
-            return bool(value[0]), str(value[1]), dict(value[2])
+            return None
+        if _valid_program(value):
+            ok, error, types = value
+            return ok, error, dict(types)
+        self._malformed(key)
         return None
 
     def put_program(
@@ -334,56 +429,68 @@ class ProofCache:
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
-    def flush(self) -> int:
-        """Write dirty entries to their shards (atomic per shard).
-
-        Returns the number of entries written.  Shards are re-read
-        before writing so concurrent flushes lose nothing but the race.
-        """
-        if not self._dirty:
-            return 0
-        by_prefix: Dict[str, Dict[str, object]] = {}
-        for key, value in self._dirty.items():
-            by_prefix.setdefault(key[:2], {})[key] = value
-        written = len(self._dirty)
-        for prefix, entries in by_prefix.items():
-            path = os.path.join(self._shard_dir(), prefix + ".json")
+    def _write_segment(self, entries: Dict[str, object]) -> str:
+        """Write ``entries`` as one new segment; returns its name."""
+        fd, tmp_path = tempfile.mkstemp(
+            dir=self._shard_dir(), prefix="%016x." % time.time_ns(), suffix=".tmp"
+        )
+        path = tmp_path[: -len(".tmp")] + ".json"
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(json.dumps(entries, separators=(",", ":")).encode())
+            os.replace(tmp_path, path)
+        except OSError:
             try:
-                with open(path) as handle:
-                    current = json.load(handle)
-            except (OSError, ValueError):
-                current = {}
-            current.update(entries)
-            fd, tmp_path = tempfile.mkstemp(
-                dir=self._shard_dir(), prefix=prefix + ".", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(current, handle)
-                os.replace(tmp_path, path)
+                os.unlink(tmp_path)
             except OSError:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
-            self._shards[prefix] = current
-        self._dirty = {}
+                pass
+            raise
+        return os.path.basename(path)
+
+    def flush(self) -> int:
+        """Append the dirty entries to the store as one new segment.
+
+        Returns the number of entries written.  When this handle holds
+        more than :data:`COMPACT_SEGMENTS` segments, the merged view is
+        written instead and the segments it was built from are unlinked
+        once it is in place.  Segments found unreadable are unlinked
+        either way.
+        """
+        written = len(self._dirty)
+        if written:
+            view = self._view
+            if view is None and len(self._segment_names()) > COMPACT_SEGMENTS:
+                view = self._load()
+            if view is not None and len(self._loaded) > COMPACT_SEGMENTS:
+                view.update(self._dirty)
+                name = self._write_segment(view)
+                for stale in self._loaded:
+                    try:
+                        os.unlink(os.path.join(self._shard_dir(), stale))
+                    except FileNotFoundError:
+                        pass  # a concurrent compaction folded it first
+                self._loaded = [name]
+            else:
+                name = self._write_segment(self._dirty)
+                if view is not None:
+                    view.update(self._dirty)
+                    self._loaded.append(name)
+            self._dirty = {}
+        for name in self._unreadable:
+            try:
+                os.unlink(os.path.join(self._shard_dir(), name))
+            except FileNotFoundError:
+                pass
+        self._unreadable = set()
         return written
 
     def drop_memory(self) -> None:
-        """Forget the loaded shards (not the dirty entries)."""
-        self._shards = {}
+        """Forget the loaded segments (not the dirty entries)."""
+        self._view = None
+        self._loaded = []
 
     def __len__(self) -> int:
-        total = len(self._dirty)
-        for name in os.listdir(self._shard_dir()):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self._shard_dir(), name)
-            try:
-                with open(path) as handle:
-                    total += len(json.load(handle))
-            except (OSError, ValueError):
-                pass
-        return total
+        """Distinct keys on disk plus unflushed ones."""
+        view = self._scan()[0]
+        view.update(self._dirty)
+        return len(view)

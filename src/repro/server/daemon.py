@@ -284,9 +284,10 @@ class _LaneEngine:
         self.index = index
         self.logic = logic
         self.hang_seconds = config.hang_seconds
-        #: this lane's handle over the *shared* cache directory; flushes
-        #: are atomic per shard with re-read-before-write, so
-        #: concurrent lane flushes lose nothing but the race
+        #: this lane's handle over the *shared* cache directory; each
+        #: flush appends one new segment and compaction only unlinks
+        #: segments this handle loaded, so concurrent lane flushes
+        #: lose nothing
         self.persist: Optional[ProofCache] = None
         if config.cache_dir is not None:
             self.persist = ProofCache(config.cache_dir, logic_config_key(logic))

@@ -6,11 +6,15 @@ worker statistics exactly, and the on-disk cache is verdict-
 transparent across runs.
 """
 
+import hashlib
+import json
+import multiprocessing
 import os
 
 import pytest
 
 from repro.batch import ProofCache, check_many, env_digest, logic_config_key
+from repro.batch.cache import CACHE_FORMAT, COMPACT_SEGMENTS
 from repro.fuzz.gen import generate_program
 from repro.logic.env import Env
 from repro.logic.prove import Logic
@@ -155,6 +159,137 @@ class TestPersistentCache:
         assert parent.flush() == 1
         reopened = ProofCache(cache_dir, "k")
         assert reopened.get_program(key) == (True, "", {"f": "Int"})
+
+    def test_concurrent_flushes_are_lossless(self, tmp_path):
+        # Forked writers flush into one directory at once, compacting
+        # as they go; no entry any of them wrote may go missing.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+        cache_dir = str(tmp_path / "cache")
+        ProofCache(cache_dir, "k")  # lay out the directory once
+        context = multiprocessing.get_context("fork")
+        writers = [
+            context.Process(target=_flush_cycles, args=(cache_dir, writer))
+            for writer in range(_WRITERS)
+        ]
+        for process in writers:
+            process.start()
+        for process in writers:
+            process.join(120)
+        assert [process.exitcode for process in writers] == [0] * _WRITERS
+        reopened = ProofCache(cache_dir, "k")
+        found = sum(
+            reopened.get_prove(_key(writer, cycle, index)) == _verdict(index)
+            for writer in range(_WRITERS)
+            for cycle in range(_CYCLES)
+            for index in range(_KEYS_PER_CYCLE)
+        )
+        assert found == _WRITERS * _CYCLES * _KEYS_PER_CYCLE == 4000
+        assert len(reopened) == 4000
+        assert reopened.shards_skipped == 0
+
+
+_WRITERS, _CYCLES, _KEYS_PER_CYCLE = 4, 20, 50
+
+
+def _key(writer, cycle, index):
+    return hashlib.sha256(f"{writer}/{cycle}/{index}".encode()).hexdigest()
+
+
+def _verdict(index):
+    return index % 3 != 0
+
+
+def _flush_cycles(cache_dir, writer):
+    for cycle in range(_CYCLES):
+        cache = ProofCache(cache_dir, "k")
+        for index in range(_KEYS_PER_CYCLE):
+            cache.put_prove(_key(writer, cycle, index), _verdict(index))
+        cache.flush()
+
+
+def _segments(cache_dir):
+    return {
+        name
+        for name in os.listdir(os.path.join(cache_dir, "shards"))
+        if name.endswith(".json")
+    }
+
+
+class TestSegmentLog:
+    def test_flush_appends_one_segment(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        cache = ProofCache(cache_dir, "k")
+        cache.put_prove(_key(0, 0, 0), True)
+        assert cache.flush() == 1
+        first = _segments(cache_dir)
+        assert len(first) == 1
+        cache.put_prove(_key(0, 0, 1), False)
+        cache.flush()
+        second = _segments(cache_dir)
+        # the first segment is left as it was: flushes append
+        assert first < second and len(second) == 2
+        assert cache.flush() == 0 and _segments(cache_dir) == second
+
+    def test_a_flush_creates_one_file_even_when_compacting(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        compactions = 0
+        for cycle in range(3 * COMPACT_SEGMENTS):
+            before = _segments(cache_dir) if cycle else set()
+            cache = ProofCache(cache_dir, "k")
+            cache.put_prove(_key(0, cycle, 0), True)
+            cache.flush()
+            after = _segments(cache_dir)
+            assert len(after - before) == 1
+            if before - after:
+                # a compaction: the merged segment replaced all the others
+                compactions += 1
+                assert before - after == before and len(after) == 1
+        assert compactions >= 2
+
+    def test_hundred_fresh_flushes_stay_compact(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        for cycle in range(100):
+            cache = ProofCache(cache_dir, "k")
+            for index in range(5):
+                cache.put_program(_key(1, cycle, index), True, "", {"f": "Int"})
+            cache.flush()
+            assert len(_segments(cache_dir)) <= COMPACT_SEGMENTS + 1
+        reopened = ProofCache(cache_dir, "k")
+        assert len(reopened) == 500
+        for cycle in range(100):
+            for index in range(5):
+                assert reopened.get_program(_key(1, cycle, index)) == (
+                    True, "", {"f": "Int"}
+                )
+
+    def test_len_counts_distinct_keys(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        for _ in range(2):
+            # two handles that never read store the same key twice
+            cache = ProofCache(cache_dir, "k")
+            cache.put_program(_key(2, 0, 0), True, "", {})
+            cache.flush()
+        assert len(_segments(cache_dir)) == 2
+        cache = ProofCache(cache_dir, "k")
+        assert len(cache) == 1
+        cache.put_prove(_key(2, 0, 1), True)  # unflushed entries count too
+        assert len(cache) == 2
+
+    def test_older_format_opens_empty(self, tmp_path):
+        assert CACHE_FORMAT == 3
+        cache_dir = tmp_path / "cache"
+        (cache_dir / "shards").mkdir(parents=True)
+        (cache_dir / "meta.json").write_text(json.dumps({"format": 2, "epoch": 0}))
+        key = "ab" + "0" * 62
+        # a format-2 prefix shard: a dict keyed by digests starting "ab"
+        (cache_dir / "shards" / "ab.json").write_text(json.dumps({key: True}))
+        cache = ProofCache(str(cache_dir), "k")
+        assert cache.get_prove(key) is None
+        assert len(cache) == 0
+        assert cache.shards_skipped == 0
+        assert _segments(str(cache_dir)) == set()
+        assert json.loads((cache_dir / "meta.json").read_text())["format"] == 3
 
 
 class TestEnvDigest:

@@ -11,7 +11,7 @@ import json
 import os
 import time
 
-from repro.batch import check_many
+from repro.batch import check_many, logic_config_key
 from repro.batch.cache import ProofCache
 from repro.logic.prove import Logic
 
@@ -146,3 +146,67 @@ class TestStaleTmpSweep:
         young.write_text('{"half": ')
         ProofCache(str(cache_dir))
         assert young.exists()
+
+
+def _plant_segment(cache_dir, entries):
+    """Write one segment by hand, as a hostile disk or a bit flip would.
+
+    Its name sorts before every stamped segment a flush writes, as an
+    old segment's would.
+    """
+    path = os.path.join(str(cache_dir), "shards", "0000000000000000.planted.json")
+    with open(path, "w") as handle:
+        json.dump(entries, handle)
+
+
+class TestMalformedEntries:
+    HOSTILE_PROGRAMS = [
+        [True, "", 5],  # types not a dict
+        [1, "", {}],  # ok not a bool
+        [True, 3, {}],  # error not a str
+        [True, "", {"f": 3}],  # a type not a str
+        [True, ""],  # too short
+        "ok",  # not a list
+    ]
+
+    def test_malformed_program_entry_is_served_absent(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        ProofCache(str(cache_dir))
+        keys = ["%064x" % index for index in range(len(self.HOSTILE_PROGRAMS))]
+        _plant_segment(cache_dir, dict(zip(keys, self.HOSTILE_PROGRAMS)))
+        cache = ProofCache(str(cache_dir))
+        rule_hits = {}
+        cache.bind_stats(rule_hits)
+        for key in keys:
+            assert cache.get_program(key) is None
+        assert cache.shards_skipped == len(keys)
+        assert rule_hits["cache.shard-skipped"] == len(keys)
+        # each bad entry is counted once, then simply absent
+        for key in keys:
+            assert cache.get_program(key) is None
+        assert cache.shards_skipped == len(keys)
+
+    def test_non_bool_proves_value_is_served_absent(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        ProofCache(str(cache_dir))
+        _plant_segment(cache_dir, {"a" * 64: 1, "b" * 64: "yes", "c" * 64: True})
+        cache = ProofCache(str(cache_dir))
+        assert cache.get_prove("a" * 64) is None
+        assert cache.get_prove("b" * 64) is None
+        assert cache.get_prove("c" * 64) is True
+        assert cache.shards_skipped == 2
+
+    def test_check_succeeds_over_a_malformed_program_entry(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        module = tmp_path / "good.rkt"
+        module.write_text(GOOD)
+        key = ProofCache(str(cache_dir), logic_config_key(Logic())).program_key(GOOD)
+        _plant_segment(cache_dir, {key: [True, "", 5]})
+        report = check_many([str(module)], jobs=1, cache_dir=str(cache_dir),
+                            logic=Logic())
+        assert [(v.ok, v.from_cache) for v in report.verdicts] == [(True, False)]
+        assert report.stats.rule_hits["cache.shard-skipped"] == 1
+        # the recomputed verdict was flushed over the bad entry
+        reread = ProofCache(str(cache_dir), logic_config_key(Logic()))
+        stored = reread.get_program(key)
+        assert stored is not None and stored[0] is True
