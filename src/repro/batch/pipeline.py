@@ -1,15 +1,18 @@
 """The multi-process batch-checking pipeline.
 
 ``check_many`` turns "check these N modules" into a first-class
-workload: files are dealt round-robin to ``jobs`` forked workers, each
-worker threads **one** :class:`~repro.logic.prove.Logic` through its
-whole chunk (the long-lived-service shape the incremental engine is
-built for), and the parent merges per-worker
-:class:`~repro.logic.prove.EngineStats` (exact aggregate hit rates)
-and persistent-cache deltas.  Verdicts come back in input order and
-are bit-identical to sequential checking — worker engines share
-nothing, and the cache-transparency property tests pin that a shared
-engine cannot change any verdict.
+workload: ``jobs`` forked workers pull files one at a time from a
+cursor the pool shares with them, each worker threads **one**
+:class:`~repro.logic.prove.Logic` through every file it takes (the
+long-lived-service shape the incremental engine is built for), and the
+parent merges per-worker :class:`~repro.logic.prove.EngineStats`
+(exact aggregate hit rates) and persistent-cache deltas.  Checking
+costs are heavy-tailed, so pulling matters: a call takes about the
+total work over ``jobs`` plus at most one file, where a fixed share
+per worker would wait on whichever share drew the slow files.
+Verdicts come back in input order and are bit-identical to sequential
+checking — worker engines share nothing, and the cache-transparency
+property tests pin that a shared engine cannot change any verdict.
 
 With ``jobs=1`` the same code path runs in-process (no fork, no
 pickling), so the CLI's single-process behaviour — including the
@@ -31,7 +34,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..checker.check import Checker
 from ..checker.errors import CheckError
@@ -73,14 +76,20 @@ class FileVerdict:
 
 
 def effective_jobs(jobs: int) -> int:
-    """Clamp an over-subscribed ``--jobs`` to the machine's core count.
+    """Clamp an over-subscribed ``--jobs`` to the CPUs this process may use.
 
     Forking more workers than cores only adds scheduler churn and
     memory; single-core boxes silently ran 4-way "parallel" batches
-    slower than sequential ones.  The degradation is recorded on the
+    slower than sequential ones.  The usable CPUs are the affinity
+    mask where the platform has one (``taskset``, cgroup cpusets),
+    else the machine's core count.  The degradation is recorded on the
     report (``jobs_requested`` vs ``jobs``) so callers can surface it.
     """
-    return max(1, min(jobs, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus))
 
 
 @dataclass
@@ -117,7 +126,7 @@ class BatchReport:
 def check_one(
     checker: Checker, path: str, cache: Optional[ProofCache] = None
 ) -> FileVerdict:
-    """Check one module with the given (chunk-shared) checker."""
+    """Check one module with the given (worker-shared) checker."""
     try:
         source = Path(path).read_text()
     except OSError as exc:
@@ -144,19 +153,50 @@ def check_one(
 
 
 # ----------------------------------------------------------------------
-# chunk execution (one worker)
+# work pulling (one worker)
 # ----------------------------------------------------------------------
+#: In a pool worker, the cursor its :class:`WorkerPool` shares with every
+#: worker: the position of the next unclaimed file.  Installed by the
+#: pool initializer; a synchronized value can only reach a worker by
+#: inheritance, never as a pickled task argument.
+_worker_cursor = None
+
+
+def _install_cursor(cursor) -> None:
+    global _worker_cursor
+    _worker_cursor = cursor
+
+
+def _claimed(indexed: Sequence[Tuple[int, str]]) -> Iterator[Tuple[int, str]]:
+    """The items of ``indexed`` this worker takes from the shared cursor.
+
+    Each position goes to exactly one worker: the read and the bump
+    happen under the cursor's lock.  Pulling stops when the list runs
+    out (the cursor may overshoot; the parent resets it per call).
+    """
+    while True:
+        with _worker_cursor.get_lock():
+            position = _worker_cursor.value
+            _worker_cursor.value = position + 1
+        if position >= len(indexed):
+            return
+        yield indexed[position]
+
+
 def _run_chunk(
     args: Tuple[Sequence[Tuple[int, str]], Optional[str]],
 ) -> Tuple[List[Tuple[int, FileVerdict]], EngineStats, Dict[str, object]]:
-    chunk, cache_dir = args
+    """One-shot worker: a fresh engine through every file it pulls."""
+    indexed, cache_dir = args
     logic = Logic()
     cache: Optional[ProofCache] = None
     if cache_dir is not None:
         cache = ProofCache(cache_dir, logic_config_key(logic))
         logic.attach_persistent_cache(cache)
     checker = Checker(logic=logic)
-    results = [(index, check_one(checker, path, cache)) for index, path in chunk]
+    results = [
+        (index, check_one(checker, path, cache)) for index, path in _claimed(indexed)
+    ]
     delta = cache.delta() if cache is not None else {}
     return results, logic.stats, delta
 
@@ -164,17 +204,17 @@ def _run_chunk(
 def _run_chunk_warm(
     args: Tuple[Sequence[Tuple[int, str]], Optional[str]],
 ) -> Tuple[List[Tuple[int, FileVerdict]], EngineStats, Dict[str, object]]:
-    """Chunk runner for resident pool workers.
+    """Resident worker: the inherited engine through every file it pulls.
 
     Unlike :func:`_run_chunk` (fresh engine per call), a resident
     worker threads the process-wide shared engine — inherited warm from
     the parent at fork time and warming further across calls — through
-    every chunk it is ever handed.  Caches are content-addressed, so
-    the sharing cannot change a verdict (the fuzz cache-transparency
+    every file it ever takes.  Caches are content-addressed, so the
+    sharing cannot change a verdict (the fuzz cache-transparency
     property); stats are reported as a per-call delta so the parent's
     merged totals cover exactly this batch.
     """
-    chunk, cache_dir = args
+    indexed, cache_dir = args
     logic = Checker().logic
     baseline = logic.stats.copy()
     cache: Optional[ProofCache] = None
@@ -183,7 +223,10 @@ def _run_chunk_warm(
         logic.attach_persistent_cache(cache)
     try:
         checker = Checker(logic=logic)
-        results = [(index, check_one(checker, path, cache)) for index, path in chunk]
+        results = [
+            (index, check_one(checker, path, cache))
+            for index, path in _claimed(indexed)
+        ]
     finally:
         if cache is not None:
             logic.detach_persistent_cache()
@@ -198,24 +241,20 @@ def _fork_available() -> bool:
         return False
 
 
-def _deal_chunks(
-    indexed: Sequence[Tuple[int, str]], jobs: int
-) -> List[List[Tuple[int, str]]]:
-    chunks: List[List[Tuple[int, str]]] = [[] for _ in range(jobs)]
-    for position, item in enumerate(indexed):
-        chunks[position % jobs].append(item)
-    return [chunk for chunk in chunks if chunk]
-
-
 def _merge_outcomes(
     indexed: Sequence[Tuple[int, str]],
     outcomes,
     cache_dir: Optional[str],
     jobs: int,
 ) -> BatchReport:
+    """Fold the workers' results into one report, in input order.
+
+    Raises ``RuntimeError`` naming the positions when any input has no
+    verdict or more than one: a lost verdict must never read as a pass.
+    """
     ordered: List[Optional[FileVerdict]] = [None] * len(indexed)
+    counts = [0] * len(indexed)
     stats = EngineStats()
-    written = 0
     parent_cache: Optional[ProofCache] = None
     if cache_dir is not None:
         # Worker deltas carry fully-namespaced keys, so the parent's
@@ -224,13 +263,19 @@ def _merge_outcomes(
     for results, worker_stats, delta in outcomes:
         for index, verdict in results:
             ordered[index] = verdict
+            counts[index] += 1
         stats.merge(worker_stats)
         if parent_cache is not None:
             parent_cache.absorb(delta)
-    if parent_cache is not None:
-        written = parent_cache.flush()
-    verdicts = [verdict for verdict in ordered if verdict is not None]
-    return BatchReport(verdicts, stats, jobs=jobs, cache_entries_written=written)
+    missing = [index for index, count in enumerate(counts) if count == 0]
+    repeated = [index for index, count in enumerate(counts) if count > 1]
+    if missing or repeated:
+        raise RuntimeError(
+            f"batch workers returned no verdict for positions {missing} "
+            f"and more than one for positions {repeated}"
+        )
+    written = parent_cache.flush() if parent_cache is not None else 0
+    return BatchReport(ordered, stats, jobs=jobs, cache_entries_written=written)
 
 
 class WorkerPool:
@@ -244,6 +289,12 @@ class WorkerPool:
     and each worker's shared engine keeps warming across requests
     (sound: the engine caches are content-addressed, so reuse can never
     change a verdict).
+
+    Batches are pulled, not dealt: before it forks, the pool creates
+    one shared cursor and installs it in every worker, and
+    :meth:`_pull` hands each worker the whole file list to take
+    positions from until it runs out.  Pulls of one pool must not
+    overlap (the daemon serializes them under its pool lock).
 
     Every forked map goes through :meth:`map`, which returns ``None``
     when it cannot run (``jobs=1``, no ``fork``) or when a worker died
@@ -262,6 +313,7 @@ class WorkerPool:
         self.jobs = jobs
         self.cache_dir = cache_dir
         self._pool = None
+        self._cursor = None
         self.batches = 0
 
     @property
@@ -271,7 +323,14 @@ class WorkerPool:
     def _ensure(self):
         if self._pool is None and self.jobs > 1 and _fork_available():
             ctx = multiprocessing.get_context("fork")
-            self._pool = ctx.Pool(processes=self.jobs)
+            # a fresh cursor per fork: a worker killed mid-pull may
+            # have died holding the old one's lock
+            self._cursor = ctx.Value("q", 0)
+            self._pool = ctx.Pool(
+                processes=self.jobs,
+                initializer=_install_cursor,
+                initargs=(self._cursor,),
+            )
         return self._pool
 
     def check_many(self, paths: Sequence[str]) -> BatchReport:
@@ -280,12 +339,9 @@ class WorkerPool:
         self.batches += 1
         outcomes = None
         if len(indexed) > 1:
-            chunks = _deal_chunks(indexed, self.jobs)
             # _run_chunk_warm is resolved here, at call time: fault
             # injection swaps the module global.
-            outcomes = self.map(
-                _run_chunk_warm, [(chunk, self.cache_dir) for chunk in chunks]
-            )
+            outcomes = self._pull(_run_chunk_warm, indexed)
         if outcomes is None:
             # one module, no pool, or a worker died (pool already torn
             # down): the whole batch in-process, nothing merged yet
@@ -293,6 +349,20 @@ class WorkerPool:
                 paths, jobs=1, cache_dir=self.cache_dir, logic=Checker().logic
             )
         return _merge_outcomes(indexed, outcomes, self.cache_dir, jobs=self.jobs)
+
+    def _pull(
+        self, fn: Callable, indexed: Sequence[Tuple[int, str]]
+    ) -> Optional[list]:
+        """Every worker runs ``fn`` over ``indexed``, pulling positions.
+
+        One task per worker, each carrying the whole list; the cursor
+        starts at 0, so together the workers claim every position once.
+        Returns the per-worker outcomes, or ``None`` as :meth:`map` does.
+        """
+        if self._ensure() is None:
+            return None
+        self._cursor.value = 0
+        return self.map(fn, [(indexed, self.cache_dir)] * self.jobs)
 
     def map(self, fn: Callable, tasks: Sequence) -> Optional[list]:
         """``pool.map(fn, tasks)`` on the workers; None if it cannot finish.
@@ -331,6 +401,7 @@ class WorkerPool:
     def close(self) -> None:
         """Tear the workers down (idempotent)."""
         pool, self._pool = self._pool, None
+        self._cursor = None
         if pool is not None:
             pool.terminate()
             pool.join()
@@ -355,14 +426,14 @@ def check_many(
 
     ``jobs=1`` checks in-process through ``logic`` (default: the
     process-wide shared engine), matching the plain CLI loop exactly.
-    ``jobs>1`` deals files round-robin to forked workers, each with its
-    own engine and a view of the persistent cache; the parent merges
-    stats and flushes the combined cache delta once.  A caller-supplied
-    ``logic`` cannot cross the fork boundary (workers need independent
-    engines), so supplying one forces the in-process path — a custom
-    engine is never silently swapped for the default.  Without
-    ``fork``, or if a worker dies, a ``jobs>1`` call runs in-process
-    with the same verdicts and reports ``jobs=1``.
+    ``jobs>1`` forks workers that pull files from a shared cursor, each
+    with its own engine and a view of the persistent cache; the parent
+    merges stats and flushes the combined cache delta once.  A
+    caller-supplied ``logic`` cannot cross the fork boundary (workers
+    need independent engines), so supplying one forces the in-process
+    path — a custom engine is never silently swapped for the default.
+    Without ``fork``, or if a worker dies, a ``jobs>1`` call runs
+    in-process with the same verdicts and reports ``jobs=1``.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -371,9 +442,8 @@ def check_many(
     indexed = list(enumerate(paths))
     outcomes = None
     if jobs > 1 and logic is None and len(indexed) > 1:
-        chunks = _deal_chunks(indexed, jobs)
-        with WorkerPool(len(chunks)) as pool:
-            outcomes = pool.map(_run_chunk, [(chunk, cache_dir) for chunk in chunks])
+        with WorkerPool(min(jobs, len(indexed)), cache_dir) as pool:
+            outcomes = pool._pull(_run_chunk, indexed)
 
     if outcomes is not None:
         report = _merge_outcomes(indexed, outcomes, cache_dir, jobs=jobs)

@@ -43,7 +43,7 @@ def suicidal_pool_workers():
 
     Fork workers resolve the chunk runner by module attribute, so
     workers forked inside the block inherit the self-``SIGKILL``
-    version — the worker takes its chunk down with it exactly the way
+    version — the worker takes its files down with it exactly the way
     an OOM kill would, *during* the map, which is the window the
     pool's PID watchdog guards.  (Killing an idle worker from outside
     instead can poison the pool's shared task-queue lock — a failure

@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -176,8 +177,17 @@ def _daemon_verdict(response: Dict[str, object]) -> Tuple[bool, Dict[str, str]]:
     return ok, dict(types or {})
 
 
+def _accepts(socket_path: str) -> bool:
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+        try:
+            probe.connect(socket_path)
+        except (ConnectionRefusedError, FileNotFoundError):
+            return False
+    return True
+
+
 def _spawn_daemon(socket_path: str, timeout: float) -> subprocess.Popen:
-    """Start ``python -m repro serve`` and wait for the socket to bind."""
+    """Start ``python -m repro serve`` and wait until it accepts connections."""
     env = dict(os.environ)
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
     env["PYTHONPATH"] = src_root + (
@@ -191,7 +201,8 @@ def _spawn_daemon(socket_path: str, timeout: float) -> subprocess.Popen:
     )
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if os.path.exists(socket_path):
+        # the socket file appears at bind(), a moment before listen()
+        if _accepts(socket_path):
             return process
         if process.poll() is not None:
             output = (process.stdout.read() or b"").decode(errors="replace")

@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +39,7 @@ from .oracles import (
     solver_oracle_factories,
 )
 from .shrink import shrink
-from ..batch.pipeline import WorkerPool
+from ..batch.pipeline import WorkerPool, effective_jobs
 from ..checker.errors import CheckError
 from ..interp.eval import run_program
 from ..interp.values import RacketError, UnsafeMemoryError
@@ -331,7 +330,7 @@ def run_fuzz(
         parallel = config.shards > 1
     shards: Optional[List[ShardResult]] = None
     if parallel:
-        with WorkerPool(min(config.shards, os.cpu_count() or 1)) as pool:
+        with WorkerPool(effective_jobs(config.shards)) as pool:
             shards = pool.map(
                 _shard_worker, [(config, k) for k in range(config.shards)]
             )
