@@ -20,7 +20,7 @@ Commands:
 * ``client``          — script the daemon: ``check`` / ``check-text``
   / ``eval`` / ``stats`` / ``ping`` / ``reset`` / ``shutdown``.
 * ``chaos``           — seeded fault-injection campaign against an
-  in-process daemon (kill workers, tear shards, hang theory goals);
+  in-process daemon (kill lanes, tear shards, hang theory goals);
   exit 1 if any scenario fails to recover.
 
 Every failure path prints the offending program's path and returns a
@@ -267,7 +267,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         seed=args.seed,
         scenarios=args.scenario or None,
         workload_count=args.workload,
-        jobs=max(1, args.jobs),
     )
     try:
         config.scenario_names()
@@ -414,30 +413,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         host=args.host,
         port=args.port or 0,
-        jobs=max(1, args.jobs),
         lanes=max(1, args.lanes),
         cache_dir=args.cache_dir,
         max_queue_depth=max(0, args.max_queue_depth),
         default_deadline_ms=args.default_deadline_ms,
         hang_seconds=max(0.0, args.hang_seconds),
     )
-    server = CheckingServer(config)
+    try:
+        server = CheckingServer(config)
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return EXIT_STATIC
     try:
         kind, where = server.start()
     except OSError as exc:
         print(f"serve: cannot bind: {exc}", file=sys.stderr)
         return EXIT_DYNAMIC
     if kind == "unix":
-        print(
-            f"listening on unix socket {where}  "
-            f"(jobs={config.jobs}, lanes={config.lanes})"
-        )
+        print(f"listening on unix socket {where}  (lanes={config.lanes})")
     else:
         host, port = where
-        print(
-            f"listening on {host}:{port}  "
-            f"(jobs={config.jobs}, lanes={config.lanes})"
-        )
+        print(f"listening on {host}:{port}  (lanes={config.lanes})")
     sys.stdout.flush()
     try:
         server.serve_forever()
@@ -704,9 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP bind host (with --port)")
     serve.add_argument("--port", type=int, default=None,
                        help="listen on TCP (0 = ephemeral port)")
-    serve.add_argument("-j", "--jobs", type=int, default=1,
-                       help="resident worker processes for multi-file "
-                            "check requests")
     serve.add_argument("--lanes", type=int, default=1,
                        help="engine lanes; each lane is a process forked "
                             "from the daemon's engine with a bounded queue, "
@@ -777,8 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workload", type=int, default=6,
                        help="generated programs in the verification "
                             "workload")
-    chaos.add_argument("--jobs", type=int, default=2,
-                       help="pool size for scenarios that fork workers")
     chaos.add_argument("--json", default=None, metavar="PATH",
                        help="write the campaign report as JSON; - for "
                             "stdout")

@@ -19,13 +19,13 @@ pickling), so the CLI's single-process behaviour — including the
 process-wide shared engine and its ``--stats`` counters — is
 unchanged.
 
-:class:`WorkerPool` is the only code in the package that forks.  Its
-:meth:`WorkerPool.map` serves three callers — one-shot ``check_many``,
-the daemon's resident pool and the fuzz runner's shards — with one
-rule: if a worker dies mid-map, the pool is torn down and the caller
-re-runs the tasks in-process.  Fork is the only start method used:
-workers inherit the parsed module cache and warm intern tables for
-free.  Platforms without fork run in-process with identical results.
+:class:`WorkerPool` is the only code in the package that forks worker
+pools (the checking daemon forks its engine lanes itself).  Its
+:meth:`WorkerPool.map` serves two callers — one-shot ``check_many``
+and the fuzz runner's shards — with one rule: if a worker dies
+mid-map, the pool is torn down and the caller re-runs the tasks
+in-process.  Fork is the only start method used: workers inherit the
+parsed module cache and warm intern tables for free.  Platforms without fork run in-process with identical results.
 """
 
 from __future__ import annotations
@@ -201,39 +201,6 @@ def _run_chunk(
     return results, logic.stats, delta
 
 
-def _run_chunk_warm(
-    args: Tuple[Sequence[Tuple[int, str]], Optional[str]],
-) -> Tuple[List[Tuple[int, FileVerdict]], EngineStats, Dict[str, object]]:
-    """Resident worker: the inherited engine through every file it pulls.
-
-    Unlike :func:`_run_chunk` (fresh engine per call), a resident
-    worker threads the process-wide shared engine — inherited warm from
-    the parent at fork time and warming further across calls — through
-    every file it ever takes.  Caches are content-addressed, so the
-    sharing cannot change a verdict (the fuzz cache-transparency
-    property); stats are reported as a per-call delta so the parent's
-    merged totals cover exactly this batch.
-    """
-    indexed, cache_dir = args
-    logic = Checker().logic
-    baseline = logic.stats.copy()
-    cache: Optional[ProofCache] = None
-    if cache_dir is not None:
-        cache = ProofCache(cache_dir, logic_config_key(logic))
-        logic.attach_persistent_cache(cache)
-    try:
-        checker = Checker(logic=logic)
-        results = [
-            (index, check_one(checker, path, cache))
-            for index, path in _claimed(indexed)
-        ]
-    finally:
-        if cache is not None:
-            logic.detach_persistent_cache()
-    delta = cache.delta() if cache is not None else {}
-    return results, logic.stats.delta_from(baseline), delta
-
-
 def _fork_available() -> bool:
     try:
         return "fork" in multiprocessing.get_all_start_methods()
@@ -279,22 +246,17 @@ def _merge_outcomes(
 
 
 class WorkerPool:
-    """The one fork pool: resident workers and a worker-death-safe map.
+    """The one fork pool, with a worker-death-safe map.
 
-    ``check --jobs`` and ``fuzz --shards`` open a pool for one call; a
-    long-running service instead keeps one alive across any number of
-    :meth:`check_many` calls, so it pays the fork (and engine
-    cold-start) once.  Creation is lazy: the pool forks on first use,
-    so workers inherit whatever the parent engine has already learned,
-    and each worker's shared engine keeps warming across requests
-    (sound: the engine caches are content-addressed, so reuse can never
-    change a verdict).
+    ``check --jobs`` and ``fuzz --shards`` each open a pool for one
+    call.  Creation is lazy: the pool forks on first use, so workers
+    inherit whatever the parent process has already built up.
 
     Batches are pulled, not dealt: before it forks, the pool creates
     one shared cursor and installs it in every worker, and
     :meth:`_pull` hands each worker the whole file list to take
     positions from until it runs out.  Pulls of one pool must not
-    overlap (the daemon serializes them under its pool lock).
+    overlap.
 
     Every forked map goes through :meth:`map`, which returns ``None``
     when it cannot run (``jobs=1``, no ``fork``) or when a worker died
@@ -305,16 +267,10 @@ class WorkerPool:
     def __init__(self, jobs: int, cache_dir: Optional[str] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        # Not clamped to the core count: a resident pool's workers
-        # overlap request handling and reset isolation is pinned
-        # behaviour, so the caller's count is honoured as-is (the
-        # one-shot ``check_many`` path is where oversubscription
-        # degrades).
         self.jobs = jobs
         self.cache_dir = cache_dir
         self._pool = None
         self._cursor = None
-        self.batches = 0
 
     @property
     def alive(self) -> bool:
@@ -332,23 +288,6 @@ class WorkerPool:
                 initargs=(self._cursor,),
             )
         return self._pool
-
-    def check_many(self, paths: Sequence[str]) -> BatchReport:
-        """Check every module on the resident workers, in input order."""
-        indexed = list(enumerate(paths))
-        self.batches += 1
-        outcomes = None
-        if len(indexed) > 1:
-            # _run_chunk_warm is resolved here, at call time: fault
-            # injection swaps the module global.
-            outcomes = self._pull(_run_chunk_warm, indexed)
-        if outcomes is None:
-            # one module, no pool, or a worker died (pool already torn
-            # down): the whole batch in-process, nothing merged yet
-            return check_many(
-                paths, jobs=1, cache_dir=self.cache_dir, logic=Checker().logic
-            )
-        return _merge_outcomes(indexed, outcomes, self.cache_dir, jobs=self.jobs)
 
     def _pull(
         self, fn: Callable, indexed: Sequence[Tuple[int, str]]

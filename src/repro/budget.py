@@ -1,7 +1,7 @@
 """Request budgets: deadlines and cooperative cancellation.
 
-The checking daemon serves every engine request on a single warm lane;
-one pathological obligation (deep saturation, a huge bit-blasted goal)
+The checking daemon serves every engine request on a warm lane; one
+pathological obligation (deep saturation, a huge bit-blasted goal)
 would otherwise block every client forever.  A :class:`Budget` is the
 cancellation token that prevents that: the daemon attaches one to each
 job, activates it around the engine call, and the hot loops of the
@@ -30,13 +30,12 @@ stages, and via a thread-local for the solver cores, which are built
 standalone and have no back-pointer to the engine.  The engine lane is
 single-threaded, so the thread-local is sound.  A daemon job's budget
 is pickled to its lane process with the absolute deadline (monotonic
-time is system-wide on Linux); budgets do **not** cross the fork
-boundary into pool workers (the pool has its own PID-level watchdog
-for that).
+time is system-wide on Linux), so queue wait counts against it.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -50,7 +49,22 @@ __all__ = [
     "JobCancelled",
     "activate",
     "current_budget",
+    "valid_deadline_ms",
 ]
+
+
+def valid_deadline_ms(value: object) -> bool:
+    """True for a positive, finite number of milliseconds.
+
+    NaN, infinities, ints too large for a float and bools are not
+    deadlines: a NaN or infinite deadline would never expire.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return 0 < float(value) < math.inf
+    except OverflowError:
+        return False
 
 
 class CancelledError(Exception):
@@ -86,10 +100,8 @@ class Budget:
 
     def __init__(self, deadline_ms: Optional[float] = None,
                  stride: int = 256) -> None:
-        if deadline_ms is not None and (
-            isinstance(deadline_ms, bool) or deadline_ms <= 0
-        ):
-            raise ValueError("deadline_ms must be a positive number")
+        if deadline_ms is not None and not valid_deadline_ms(deadline_ms):
+            raise ValueError("deadline_ms must be a positive finite number")
         self.started = time.monotonic()
         self.deadline = (
             None if deadline_ms is None else self.started + deadline_ms / 1000.0

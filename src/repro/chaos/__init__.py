@@ -1,9 +1,8 @@
 """Deterministic fault injection against the checking service.
 
 The recovery seams this repo grew over time — corrupt-shard tolerance,
-the pool's PID watchdog, epoch-guarded sessions, and now deadlines,
-load shedding and lane supervision — stay broken until something
-systematically provokes them.  This package is that something: seeded
+epoch-guarded sessions, deadlines, load shedding and lane supervision
+— stay broken until something systematically provokes them.  This package is that something: seeded
 fault injectors (:mod:`~repro.chaos.faults`), scripted failure
 scenarios (:mod:`~repro.chaos.scenarios`) and a campaign runner
 (:mod:`~repro.chaos.runner`) with a reproducible JSON summary.

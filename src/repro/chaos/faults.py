@@ -1,60 +1,29 @@
 """Seeded fault injectors for the chaos scenarios.
 
 Each injector provokes exactly one failure mode the service claims to
-survive: a killed pool worker (PID watchdog + in-process fallback), a
-torn or garbage cache shard (corruption tolerance + repair-on-flush),
-and a theory dispatch that stalls or hangs (deadline abort + hung-lane
-watchdog).  They are deliberately tiny and deterministic — a scenario
-seeded the same way injects the same faults in the same order.
+survive: a torn or garbage cache shard (corruption tolerance +
+repair-on-flush), and a theory dispatch that stalls or hangs (deadline
+abort + hung-lane watchdog).  A killed lane needs no injector: the
+daemon's own ``poison_lane`` hook does it.  They are deliberately tiny
+and deterministic — a scenario seeded the same way injects the same
+faults in the same order.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import signal
 import time
-from contextlib import contextmanager
 from typing import List, Optional
 
-from ..batch import pipeline
 from ..budget import current_budget
 
 __all__ = [
-    "suicidal_pool_workers",
     "corrupt_shards",
     "plant_torn_tmp",
     "truncate_meta",
     "ChaosDispatch",
 ]
-
-
-# ----------------------------------------------------------------------
-# pool workers
-# ----------------------------------------------------------------------
-def _suicidal_chunk_runner(args):  # pragma: no cover — dies before returning
-    """Runs in the forked worker: an OOM kill / segfault, on schedule."""
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-@contextmanager
-def suicidal_pool_workers():
-    """Make every pool worker die mid-map while the block is active.
-
-    Fork workers resolve the chunk runner by module attribute, so
-    workers forked inside the block inherit the self-``SIGKILL``
-    version — the worker takes its files down with it exactly the way
-    an OOM kill would, *during* the map, which is the window the
-    pool's PID watchdog guards.  (Killing an idle worker from outside
-    instead can poison the pool's shared task-queue lock — a failure
-    the pool cannot recover from and not the seam under test.)
-    """
-    original = pipeline._run_chunk_warm
-    pipeline._run_chunk_warm = _suicidal_chunk_runner
-    try:
-        yield
-    finally:
-        pipeline._run_chunk_warm = original
 
 
 # ----------------------------------------------------------------------

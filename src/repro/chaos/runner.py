@@ -31,8 +31,6 @@ class ChaosConfig:
     scenarios: Optional[Sequence[str]] = None
     #: generated programs in the verification workload
     workload_count: int = 6
-    #: pool size handed to scenarios that fork (worker_kill needs >= 2)
-    jobs: int = 2
 
     def scenario_names(self) -> List[str]:
         if self.scenarios is None:
@@ -104,12 +102,7 @@ def run_chaos(
     workload = build_workload(config.seed, config.workload_count)
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmpdir:
         for name in names:
-            ctx = ScenarioContext(
-                seed=config.seed,
-                tmpdir=tmpdir,
-                workload=workload,
-                jobs=config.jobs,
-            )
+            ctx = ScenarioContext(seed=config.seed, tmpdir=tmpdir, workload=workload)
             result = SCENARIOS[name](ctx)
             report.results.append(result)
             if progress is not None:

@@ -15,7 +15,7 @@ running the same three closing assertions:
 
 Scenarios run in-process (not against a spawned subprocess like the
 fuzz farm) precisely so faults can be injected surgically: killing a
-known pool worker, wrapping the theory dispatch of the engine the lanes
+known engine lane, wrapping the theory dispatch of the engine the lanes
 are forked from, corrupting the exact shard files the daemon just
 flushed.
 """
@@ -67,7 +67,6 @@ class ScenarioContext:
     seed: int
     tmpdir: str
     workload: List[WorkloadProgram]
-    jobs: int = 2
     #: harnesses started by the running scenario; the runner stops every
     #: one of them even when the scenario body raises mid-setup
     active: List["_Scenario"] = field(default_factory=list)
@@ -127,7 +126,6 @@ class _Scenario:
         self.socket_path = os.path.join(ctx.tmpdir, f"{name}.sock")
         settings = dict(
             socket_path=self.socket_path,
-            jobs=ctx.jobs,
             hang_seconds=0.0,  # scenarios opt in explicitly
         )
         settings.update(config_overrides)
@@ -219,49 +217,12 @@ def _run(name: str):
 
 
 # ----------------------------------------------------------------------
-# 1. kill a pool worker mid-service
-# ----------------------------------------------------------------------
-@_run("worker_kill")
-def scenario_worker_kill(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenario:
-    harness = _Scenario(ctx, "worker_kill", jobs=max(2, ctx.jobs))
-    paths = []
-    for index, program in enumerate(ctx.workload[:4]):
-        path = os.path.join(ctx.tmpdir, f"wk_{index}.rkt")
-        with open(path, "w") as handle:
-            handle.write(program.source)
-        paths.append(path)
-    expected = [p.ok for p in ctx.workload[:4]]
-    with harness.client() as client:
-        # the pool forks lazily, so workers forked inside this block
-        # inherit a chunk runner that SIGKILLs its own process mid-map
-        with faults.suicidal_pool_workers():
-            response = client.try_check(paths)
-            # the PID watchdog must detect the dead set and fall back
-            # in-process — same verdicts, daemon alive
-            got = [bool(v["ok"]) for v in response["verdicts"]]
-            if got != expected:
-                raise AssertionError(f"verdicts changed after worker kill: {got}")
-            if harness.server.pool.alive:
-                raise AssertionError("broken pool was never torn down")
-        details["fell_back_in_process"] = True
-        # next pooled batch re-forks a healthy pool
-        response = client.try_check(paths)
-        got = [bool(v["ok"]) for v in response["verdicts"]]
-        if got != expected:
-            raise AssertionError(f"verdicts changed after pool rebuild: {got}")
-        details["pool_respawned"] = harness.server.pool.alive
-        if not harness.server.pool.alive:
-            raise AssertionError("pool did not re-fork after recovery")
-    return harness
-
-
-# ----------------------------------------------------------------------
-# 2. tear/corrupt cache shard writes
+# 1. tear/corrupt cache shard writes
 # ----------------------------------------------------------------------
 @_run("torn_cache_shard")
 def scenario_torn_cache(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenario:
     cache_dir = os.path.join(ctx.tmpdir, "chaos-cache")
-    harness = _Scenario(ctx, "torn_cache_shard", jobs=1, cache_dir=cache_dir)
+    harness = _Scenario(ctx, "torn_cache_shard", cache_dir=cache_dir)
     with harness.client() as client:
         for program in ctx.workload:
             client.check_text(program.name, program.source)
@@ -294,14 +255,14 @@ def scenario_torn_cache(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scena
 
 
 # ----------------------------------------------------------------------
-# 3. hang a theory-goal batch (deadline + watchdog recovery)
+# 2. hang a theory-goal batch (deadline + watchdog recovery)
 # ----------------------------------------------------------------------
 @_run("hung_goal")
 def scenario_hung_goal(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenario:
     # two hung consultations: one for (a), one for (b)
     logic = Logic()
     logic.dispatch = faults.ChaosDispatch(logic.dispatch, hang=True, max_faults=2)
-    harness = _Scenario(ctx, "hung_goal", logic, jobs=1, hang_seconds=0.75)
+    harness = _Scenario(ctx, "hung_goal", logic, hang_seconds=0.75)
     with harness.client() as client:
         # (a) a hung consultation + deadline_ms → structured
         # deadline_exceeded within the deadline plus scheduling slack
@@ -336,13 +297,13 @@ def scenario_hung_goal(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenar
 
 
 # ----------------------------------------------------------------------
-# 4. drop the client socket mid-request
+# 3. drop the client socket mid-request
 # ----------------------------------------------------------------------
 @_run("client_disconnect")
 def scenario_client_disconnect(
     ctx: ScenarioContext, details: Dict[str, Any]
 ) -> _Scenario:
-    harness = _Scenario(ctx, "client_disconnect", jobs=1)
+    harness = _Scenario(ctx, "client_disconnect")
     program = ctx.workload[0]
     # (a) full request sent, socket dropped before reading the response
     raw = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
@@ -360,11 +321,11 @@ def scenario_client_disconnect(
 
 
 # ----------------------------------------------------------------------
-# 5. reset storm under concurrent load
+# 4. reset storm under concurrent load
 # ----------------------------------------------------------------------
 @_run("reset_storm")
 def scenario_reset_storm(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenario:
-    harness = _Scenario(ctx, "reset_storm", jobs=1, max_queue_depth=128)
+    harness = _Scenario(ctx, "reset_storm", max_queue_depth=128)
     workers = 4
     iterations = 6
     errors: List[str] = []
@@ -406,7 +367,7 @@ def scenario_reset_storm(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scen
 
 
 # ----------------------------------------------------------------------
-# 6. overload: shed past the queue cap, recover after
+# 5. overload: shed past the queue cap, recover after
 # ----------------------------------------------------------------------
 @_run("overload_shed")
 def scenario_overload_shed(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenario:
@@ -417,7 +378,7 @@ def scenario_overload_shed(ctx: ScenarioContext, details: Dict[str, Any]) -> _Sc
     logic.dispatch = faults.ChaosDispatch(
         logic.dispatch, delay_seconds=0.4, max_faults=2
     )
-    harness = _Scenario(ctx, "overload_shed", logic, jobs=1, max_queue_depth=1)
+    harness = _Scenario(ctx, "overload_shed", logic, max_queue_depth=1)
     outcomes: List[str] = []
     lock = threading.Lock()
 
@@ -462,13 +423,11 @@ def scenario_overload_shed(ctx: ScenarioContext, details: Dict[str, Any]) -> _Sc
 
 
 # ----------------------------------------------------------------------
-# 7. kill one engine lane of a multi-lane daemon mid-campaign
+# 6. kill one engine lane of a multi-lane daemon mid-campaign
 # ----------------------------------------------------------------------
 @_run("lane_kill")
 def scenario_lane_kill(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenario:
-    harness = _Scenario(
-        ctx, "lane_kill", jobs=1, lanes=3, watchdog_interval=0.02
-    )
+    harness = _Scenario(ctx, "lane_kill", lanes=3, watchdog_interval=0.02)
     server = harness.server
     lanes = len(server.lanes)
     # derive one affinity key per lane from the daemon's own stable hash
@@ -531,7 +490,6 @@ def scenario_lane_kill(ctx: ScenarioContext, details: Dict[str, Any]) -> _Scenar
 
 #: name → scenario callable, in documentation order
 SCENARIOS: Dict[str, Callable[[ScenarioContext], ScenarioResult]] = {
-    "worker_kill": scenario_worker_kill,
     "torn_cache_shard": scenario_torn_cache,
     "hung_goal": scenario_hung_goal,
     "client_disconnect": scenario_client_disconnect,

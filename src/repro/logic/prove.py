@@ -182,7 +182,7 @@ class EngineStats:
         """Counters accumulated since ``baseline`` (a prior :meth:`copy`).
 
         A long-lived engine's counters only ever grow; per-request
-        reporting (the checking daemon, resident pool workers) snapshots
+        reporting (the checking daemon's lanes) snapshots
         before a request and subtracts after, so every response can
         carry exactly the work that request caused.
         """

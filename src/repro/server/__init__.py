@@ -11,9 +11,8 @@ cache (PR 3) were built for:
   ``repro serve``) that keeps warm :class:`~repro.logic.prove.Logic`
   engines resident across requests in forked lane processes, gives
   each connection an isolated, epoch-guarded session (module store +
-  REPL scope), runs one request per lane turn, and fans heavy
-  multi-file checks out to a resident
-  :class:`~repro.batch.pipeline.WorkerPool`.
+  REPL scope), and runs one request per lane turn — multi-file
+  ``check`` requests included, each on its connection's lane.
 * :class:`~repro.server.client.Client` — a small blocking client
   (CLI: ``repro client``) speaking the newline-delimited JSON protocol
   of :mod:`repro.server.protocol` (see ``docs/SERVER.md`` for the wire

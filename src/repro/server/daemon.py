@@ -28,20 +28,17 @@ grows with cores on CPython:
   engine caches.  When the connection closes, its lane drops the
   session.
 * **One request per lane turn**: a lane runs one job to a response,
-  then takes the next.  The one exception to "engine work happens in a
-  lane" is a multi-file ``check`` on a ``--jobs`` daemon: it fans out
-  to the parent's resident :class:`~repro.batch.pipeline.WorkerPool`,
-  which all drivers share under a lock.
+  then takes the next.  Every engine request, a multi-file ``check``
+  included, runs on its routed lane; the parent never checks.
 
 Epoch coordination — how lanes converge after ``reset``:
 
 * The server keeps one **epoch**.  ``reset`` (from any lane) bumps it,
   the serving lane resets its engine at once and records the new epoch
   in the persistent cache's ``meta.json`` (so epochs stay monotone
-  across daemon restarts over one cache directory), and the shared
-  pool is torn down.  Every job message carries the server epoch; a
-  lane behind it calls ``reset_caches(epoch=...)`` before running the
-  job.  A request enqueued after the reset response was sent is
+  across daemon restarts over one cache directory).  Every job message
+  carries the server epoch; a lane behind it calls
+  ``reset_caches(epoch=...)`` before running the job.  A request enqueued after the reset response was sent is
   therefore always served post-reset state, while requests already in
   flight on other lanes complete under the old epoch — the usual
   linearizability for operations that overlap the reset.
@@ -94,8 +91,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..batch.cache import ProofCache
-from ..batch.pipeline import BatchReport, WorkerPool, check_many, logic_config_key
-from ..budget import Budget, CancelledError
+from ..batch.pipeline import BatchReport, check_many, logic_config_key
+from ..budget import Budget, CancelledError, valid_deadline_ms
 from ..checker.check import Checker
 from ..logic.prove import EngineStats, Logic
 from .protocol import (
@@ -120,9 +117,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: TCP port (0 = ephemeral); ignored when ``socket_path`` is set
     port: int = 0
-    #: worker processes for fanned-out multi-file ``check`` requests;
-    #: 1 keeps everything on the engine lanes
-    jobs: int = 1
     #: engine lanes; each is a process with its own engine and a
     #: bounded queue
     lanes: int = 1
@@ -216,7 +210,7 @@ def _respond(request: Dict[str, Any], **fields) -> Dict[str, Any]:
     return response
 
 
-def _check_result(report: BatchReport, pooled: bool = False) -> Dict[str, Any]:
+def _check_result(report: BatchReport) -> Dict[str, Any]:
     """A ``check`` response body: one verdict row per path, in order."""
     return {
         "ok": report.ok,
@@ -230,7 +224,6 @@ def _check_result(report: BatchReport, pooled: bool = False) -> Dict[str, Any]:
             }
             for v in report.verdicts
         ],
-        "pooled": pooled,
     }
 
 
@@ -552,10 +545,8 @@ class _Lane:
                 or time.monotonic() - job.started_at <= hang
             ):
                 return
-            # the parent's copy records the cancel (a pooled check never
-            # ticks it, so there it is only counted); a lane job aborts
-            # at its next budget tick once SIGUSR1 lands — an idle lane
-            # (the job is pooled) has no budget to cancel
+            # the parent's copy records the cancel; the lane's copy is
+            # cancelled by SIGUSR1 and aborts at its next budget tick
             budget.cancel("watchdog")
             if self._exit_status is None:
                 with contextlib.suppress(ProcessLookupError):
@@ -617,14 +608,11 @@ class _Lane:
             return _respond(request, stopping=True)
         if job.budget is not None:
             try:
-                # expired while queued: answer without touching the
-                # engine (or the pool — budgets do not cross its fork)
+                # expired while queued: answer without touching the engine
                 job.budget.check()
             except CancelledError as exc:
                 self.count(exc.code)
                 return error_response(request, exc.code, str(exc), retryable=True)
-        if op == "check" and server.pool is not None and len(request["paths"]) > 1:
-            return self._run_pooled(job)
         with server._epoch_lock:
             if op == "reset":
                 server._epoch += 1
@@ -635,22 +623,8 @@ class _Lane:
         if op == "stats":
             return _respond(request, **server._stats(response["session"]))
         if op == "reset":
-            if server.pool is not None:
-                # resident workers hold pre-reset engine caches; tear
-                # them down so the next pooled check re-forks cold
-                with server._pool_lock:
-                    server.pool.close()
             return _respond(request, epoch=epoch)
         return response
-
-    def _begin(self, job: _Job) -> None:
-        with self._lock:
-            job.started_at = time.monotonic()
-            self.current_job = job
-
-    def _end(self) -> None:
-        with self._lock:
-            self.current_job = None
 
     def _call(self, job: _Job, epoch: int) -> Dict[str, Any]:
         """Run one job in the lane process; re-fork the lane if it dies."""
@@ -664,14 +638,17 @@ class _Lane:
                 "budget": job.budget,
             },
         }
-        self._begin(job)
+        with self._lock:
+            job.started_at = time.monotonic()
+            self.current_job = job
         try:
             _send(self.sock, message)
             reply = _recv(self.sock)
         except (EOFError, OSError):
             reply = None
         finally:
-            self._end()
+            with self._lock:
+                self.current_job = None
         if reply is None:
             if server._stop.is_set():
                 return error_response(job.request, "internal-error", "server is stopping")
@@ -691,20 +668,6 @@ class _Lane:
                     self.robustness[key] = self.robustness.get(key, 0) + amount
         self.epoch = reply["epoch"]
         return reply["response"]
-
-    def _run_pooled(self, job: _Job) -> Dict[str, Any]:
-        server = self.server
-        self._begin(job)
-        try:
-            # one pool, many drivers: dispatches are serialized — the
-            # fork pool's map/watchdog machinery is not reentrant
-            with server._pool_lock:
-                report = server.pool.check_many(job.request["paths"])
-        finally:
-            self._end()
-        result = _check_result(report, pooled=True)
-        result["stats"] = report.stats.as_dict()
-        return _respond(job.request, **result)
 
     def describe(self, uptime: float) -> Dict[str, Any]:
         """This lane's row in the ``stats`` response."""
@@ -736,19 +699,23 @@ class CheckingServer:
     """
 
     def __init__(self, config: ServerConfig, logic: Optional[Logic] = None) -> None:
+        default_deadline = config.default_deadline_ms
+        if default_deadline is not None and not valid_deadline_ms(default_deadline):
+            # rejected here, not per request: Budget() would raise in
+            # every connection thread that applies the default
+            raise ValueError(
+                f"default_deadline_ms must be a positive finite number, "
+                f"not {default_deadline!r}"
+            )
         self.config = config
         #: the engine every lane process is forked from (default: the
-        #: process-wide shared one, so lanes and pool workers start with
-        #: every cache the process has built up).  The parent never
-        #: checks on it once the lanes exist.
+        #: process-wide shared one, so lanes start with every cache the
+        #: process has built up).  The parent never checks on it once
+        #: the lanes exist.
         self.logic = logic if logic is not None else Checker().logic
         self._robust_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
         self._lanes = [_Lane(self, index) for index in range(max(1, config.lanes))]
-        self.pool: Optional[WorkerPool] = (
-            WorkerPool(config.jobs, config.cache_dir) if config.jobs > 1 else None
-        )
-        self._pool_lock = threading.Lock()
         #: the server epoch every lane converges to; resumed from the
         #: cache directory's meta.json so it is monotone across daemon
         #: restarts over one cache dir
@@ -923,9 +890,6 @@ class CheckingServer:
         for thread in list(self._threads) + list(self._conn_threads):
             if thread is not current:
                 thread.join(timeout=5.0)
-        if self.pool is not None:
-            with self._pool_lock:
-                self.pool.close()
         self._stop_lanes()
         if self.config.socket_path and os.path.exists(self.config.socket_path):
             try:
@@ -1158,13 +1122,6 @@ class CheckingServer:
         uptime = time.monotonic() - self._started_at
         with self._sessions_lock:
             sessions = len(self._sessions)
-        pool_info: Dict[str, Any] = {"jobs": self.config.jobs, "resident": False}
-        if self.pool is not None:
-            pool_info = {
-                "jobs": self.pool.jobs,
-                "resident": self.pool.alive,
-                "batches": self.pool.batches,
-            }
         robustness = self.robustness
         engine = EngineStats()
         with self._robust_lock:
@@ -1182,7 +1139,6 @@ class CheckingServer:
                 "uptime_seconds": round(uptime, 3),
                 "requests_total": self.requests_total,
                 "sessions": sessions,
-                "pool": pool_info,
                 "queue": {
                     "depth": sum(lane.queue.qsize() for lane in self._lanes),
                     "max_depth": self.config.max_queue_depth,

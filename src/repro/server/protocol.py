@@ -22,6 +22,8 @@ import json
 import socket
 from typing import Any, Dict, Optional
 
+from ..budget import valid_deadline_ms
+
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
@@ -132,13 +134,8 @@ def validate_request(message: Dict[str, Any]) -> Dict[str, Any]:
     if "deadline_ms" in message:
         if op not in DEADLINE_OPS:
             raise ProtocolError(f"{op!r} does not accept 'deadline_ms'")
-        deadline = message["deadline_ms"]
-        if (
-            isinstance(deadline, bool)
-            or not isinstance(deadline, (int, float))
-            or deadline <= 0
-        ):
-            raise ProtocolError("'deadline_ms' must be a positive number")
+        if not valid_deadline_ms(message["deadline_ms"]):
+            raise ProtocolError("'deadline_ms' must be a positive finite number")
     return message
 
 
@@ -175,7 +172,7 @@ class MessageStream:
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
-        self._buffer = b""
+        self._buffer = bytearray()
         self._closed = False
 
     def send(self, message: Dict[str, Any]) -> None:
@@ -183,7 +180,8 @@ class MessageStream:
 
     def receive(self) -> Optional[Dict[str, Any]]:
         """The next message, or ``None`` on a clean peer close."""
-        while b"\n" not in self._buffer:
+        scanned = 0  # bytes already searched for the newline
+        while (end := self._buffer.find(b"\n", scanned)) < 0:
             if len(self._buffer) > MAX_LINE_BYTES:
                 raise ProtocolError(f"message exceeds {MAX_LINE_BYTES} bytes")
             chunk = self._sock.recv(65536)
@@ -191,8 +189,9 @@ class MessageStream:
                 if self._buffer.strip():
                     raise ProtocolError("connection closed mid-message")
                 return None
+            scanned = len(self._buffer)
             self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
+        line, self._buffer = self._buffer[:end], self._buffer[end + 1 :]
         return decode(line)
 
     def close(self) -> None:

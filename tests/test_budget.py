@@ -88,6 +88,9 @@ class TestBudget:
             Budget(deadline_ms=-5)
         with pytest.raises(ValueError):
             Budget(deadline_ms=True)
+        for non_finite in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Budget(deadline_ms=non_finite)
 
     def test_bound_stats_count_aborts(self):
         rule_hits = {}

@@ -34,7 +34,6 @@ needs_two_cpus = pytest.mark.skipif(
 )
 
 _RUN_CHUNK = pipeline._run_chunk
-_RUN_CHUNK_WARM = pipeline._run_chunk_warm
 _CHECK_ONE = pipeline.check_one
 
 SLOW_NAME = "slow.rkt"
@@ -44,11 +43,6 @@ SLOW_S = 3.0
 def _lossy_run_chunk(args):
     """A one-shot worker that loses the last verdict it produced."""
     results, stats, delta = _RUN_CHUNK(args)
-    return results[:-1], stats, delta
-
-
-def _lossy_run_chunk_warm(args):
-    results, stats, delta = _RUN_CHUNK_WARM(args)
     return results[:-1], stats, delta
 
 
@@ -114,13 +108,6 @@ class TestMergeRefusesLostVerdicts:
         with pytest.raises(RuntimeError, match="more than one for positions"):
             _bounded(lambda: check_many(paths, jobs=2))
 
-    def test_resident_pool_raises_on_a_lost_verdict(self, tmp_path, monkeypatch):
-        paths = _modules(tmp_path, 6)
-        monkeypatch.setattr(pipeline, "_run_chunk_warm", _lossy_run_chunk_warm)
-        with WorkerPool(jobs=2) as pool:
-            with pytest.raises(RuntimeError, match="no verdict for positions"):
-                _bounded(lambda: pool.check_many(paths))
-
 
 class TestEffectiveJobs:
     def test_clamps_to_the_affinity_mask(self, monkeypatch):
@@ -166,27 +153,24 @@ class TestSlowFileHoldsBackOnlyItsWorker:
         assert report.jobs == 2
         self._assert_other_worker_took_the_rest(report, paths)
 
-    def test_resident_pool(self, tmp_path, monkeypatch):
-        paths = self._paths(tmp_path)
-        monkeypatch.setattr(pipeline, "check_one", _pid_tagging_check_one)
-        with WorkerPool(jobs=2) as pool:
-            report = _bounded(lambda: pool.check_many(paths))
-            assert pool.alive
-        self._assert_other_worker_took_the_rest(report, paths)
-
 
 def test_shared_cursor_stress(tmp_path):
-    """Eight resident workers on few CPUs, many tiny files, repeated calls.
+    """Eight workers on few CPUs, many tiny files, repeated pulls.
 
-    Every call must return each position exactly once (the merge raises
-    otherwise) with the sequential verdicts: a lost update on the
-    cursor would check a file twice or skip it.
+    Every pull on the one pool must return each position exactly once
+    (the merge raises otherwise) with the sequential verdicts: a lost
+    update on the cursor, or a cursor not reset between pulls, would
+    check a file twice or skip it.
     """
     paths = _modules(tmp_path, 240)
+    indexed = list(enumerate(paths))
     reference = _summary(check_many(paths, jobs=1, logic=Logic()))
     with WorkerPool(jobs=8) as pool:
         for _ in range(6):
-            report = _bounded(lambda: pool.check_many(paths), seconds=120)
+            outcomes = _bounded(
+                lambda: pool._pull(pipeline._run_chunk, indexed), seconds=120
+            )
+            assert outcomes is not None  # no worker died
+            report = pipeline._merge_outcomes(indexed, outcomes, None, jobs=8)
             assert _summary(report) == reference
             assert pool.alive
-        assert pool.batches == 6

@@ -88,23 +88,6 @@ class TestVerdictEquality:
             (v["path"], v["ok"], v["error"]) for v in singles
         ]
 
-    def test_pooled_daemon_matches_one_shot_checking(self, tmp_path, corpus_paths):
-        daemon = CheckingServer(
-            ServerConfig(socket_path=str(tmp_path / "pooled.sock"), jobs=2)
-        )
-        daemon.start()
-        try:
-            with _connect(daemon) as connected:
-                response = connected.try_check(corpus_paths)
-            reference = check_many(corpus_paths, jobs=1, logic=Logic())
-            assert response["pooled"] is True
-            assert response["stats"]["prove_calls"] > 0
-            assert [(v["path"], v["ok"], v["error"]) for v in response["verdicts"]] == [
-                (v.path, v.ok, v.error) for v in reference.verdicts
-            ]
-        finally:
-            daemon.stop()
-
 
 class TestSessions:
     def test_check_text_incremental_recheck(self, client):
@@ -188,25 +171,6 @@ class TestEpochAndStats:
         assert not cold["cached"]
         assert cold["ok"]
         assert cold["stats"]["prove_calls"] > 0  # really re-proved
-
-    @pytest.mark.slow
-    def test_reset_tears_down_resident_pool_workers(self, tmp_path, corpus_paths):
-        """Resident workers hold pre-reset caches; reset must re-fork."""
-        daemon = CheckingServer(
-            ServerConfig(socket_path=str(tmp_path / "rp.sock"), jobs=2)
-        )
-        daemon.start()
-        try:
-            with _connect(daemon) as connected:
-                connected.try_check(corpus_paths)
-                assert connected.stats()["server"]["pool"]["resident"]
-                connected.reset()
-                assert not connected.stats()["server"]["pool"]["resident"]
-                # and pooled checking still works (lazy re-fork, cold)
-                response = connected.try_check(corpus_paths)
-                assert len(response["verdicts"]) == len(corpus_paths)
-        finally:
-            daemon.stop()
 
     def test_daemon_never_replaces_the_engine_dispatch(self, tmp_path):
         engine = Logic()

@@ -121,14 +121,14 @@ class TestDeadlines:
                 validate_request({"op": op, "deadline_ms": 250.0})
 
     def test_non_positive_deadline_rejected(self):
-        for bad in (0, -1, -0.5):
+        for bad in (0, -1, -0.5, float("-inf")):
             with pytest.raises(ProtocolError, match="positive"):
                 validate_request(
                     {"op": "eval", "expr": "1", "deadline_ms": bad}
                 )
 
     def test_non_numeric_deadline_rejected(self):
-        for bad in ("100", True, [100], None):
+        for bad in ("100", True, [100], None, float("nan"), float("inf"), 10**400):
             with pytest.raises(ProtocolError):
                 validate_request(
                     {"op": "eval", "expr": "1", "deadline_ms": bad}
@@ -167,6 +167,29 @@ class TestMessageStream:
         with pytest.raises(ProtocolError, match="mid-message"):
             stream.receive()
         stream.close()
+
+    def test_unframed_flood_fails_fast(self):
+        left, right = socket.socketpair()
+        stream = MessageStream(right)
+        block = b"x" * 65536
+
+        def flood():
+            try:
+                while True:
+                    left.sendall(block)
+            except OSError:
+                pass  # the stream gave up and closed its end
+
+        feeder = threading.Thread(target=flood, daemon=True)
+        feeder.start()
+        with pytest.raises(ProtocolError, match="exceeds"):
+            stream.receive()
+        # the guard fires at the cap plus at most one recv
+        assert MAX_LINE_BYTES < len(stream._buffer) <= MAX_LINE_BYTES + 65536
+        stream.close()
+        feeder.join(timeout=5.0)
+        assert not feeder.is_alive()
+        left.close()
 
     def test_fragmented_send_reassembles(self):
         left, right = socket.socketpair()

@@ -77,6 +77,15 @@ def _connect(daemon, **kwargs):
     return Client(socket_path=daemon.config.socket_path, **kwargs)
 
 
+def _module_files(tmp_path, source, count):
+    paths = []
+    for index in range(count):
+        path = tmp_path / f"m{index}.rkt"
+        path.write_text(source)
+        paths.append(str(path))
+    return paths
+
+
 class TestDeadlines:
     def test_deadline_exceeded_is_structured_and_prompt(self, tmp_path):
         daemon = _server(tmp_path, _chaos_logic(hang=True, max_faults=1))
@@ -104,7 +113,7 @@ class TestDeadlines:
             path = tmp_path / name
             path.write_text(SIMPLE)
             paths.append(str(path))
-        daemon = _server(tmp_path, jobs=2, default_deadline_ms=None)
+        daemon = _server(tmp_path, default_deadline_ms=None)
         try:
             with _connect(daemon) as client:
                 with pytest.raises(ServerError) as info:
@@ -114,13 +123,50 @@ class TestDeadlines:
                     )
                 assert info.value.code == "deadline_exceeded"
                 assert client.check_text("ok", SIMPLE)["ok"]
-                # a multi-file check on a pooled daemon: no pool dispatch
+                # a multi-file check expires while queued the same way
                 with pytest.raises(ServerError) as info:
                     client.request("check", paths=paths, deadline_ms=0.0001)
                 assert info.value.code == "deadline_exceeded"
-                assert client.stats()["server"]["pool"]["batches"] == 0
         finally:
             daemon.stop()
+
+    def test_multi_file_check_deadline_expires_mid_check(self, tmp_path):
+        # every theory consultation stalls 0.1s, so the 250ms deadline
+        # runs out part-way through the batch, on one lane of two
+        paths = _module_files(tmp_path, THEORY_HEAVY, count=4)
+        daemon = _server(
+            tmp_path, _chaos_logic(delay_seconds=0.1, max_faults=3), lanes=2
+        )
+        try:
+            with _connect(daemon) as client:
+                started = time.monotonic()
+                with pytest.raises(ServerError) as info:
+                    client.request("check", paths=paths, deadline_ms=250)
+                assert info.value.code == "deadline_exceeded"
+                assert info.value.retryable is True
+                assert time.monotonic() - started < 5.0
+                # the lane stays warm: the same batch then checks in full
+                response = client.try_check(paths)
+                assert [v["ok"] for v in response["verdicts"]] == [True] * 4
+            assert daemon.robustness["deadline_exceeded"] == 1
+        finally:
+            daemon.stop()
+
+    def test_bad_default_deadline_is_refused_at_startup(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        for bad in (0, -5.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="default_deadline_ms"):
+                CheckingServer(ServerConfig(default_deadline_ms=bad))
+        socket_path = tmp_path / "never.sock"
+        for bad in ("0", "-1", "nan", "inf"):
+            status = main([
+                "serve", "--socket", str(socket_path),
+                "--default-deadline-ms", bad,
+            ])
+            assert status == 1
+            assert "default_deadline_ms" in capsys.readouterr().err
+            assert not socket_path.exists()  # refused before binding
 
     def test_server_default_deadline_applies(self, tmp_path):
         daemon = _server(
@@ -250,10 +296,11 @@ class TestBackpressure:
             max_queue_depth=1,
         )
         try:
-            blocker = threading.Thread(
-                target=lambda: _connect(daemon).check_text("bl", THEORY_HEAVY),
-                daemon=True,
-            )
+            def block():
+                with _connect(daemon) as client:
+                    client.check_text("bl", THEORY_HEAVY)
+
+            blocker = threading.Thread(target=block, daemon=True)
             blocker.start()
             time.sleep(0.05)  # let the blocker occupy the lane
             with _connect(daemon, retries=8, backoff=0.05) as client:
@@ -265,8 +312,9 @@ class TestBackpressure:
 
 class TestWatchdog:
     def test_hung_request_is_cancelled(self, tmp_path):
+        paths = _module_files(tmp_path, THEORY_HEAVY, count=3)
         daemon = _server(
-            tmp_path, _chaos_logic(hang=True, max_faults=1), hang_seconds=0.5
+            tmp_path, _chaos_logic(hang=True, max_faults=2), hang_seconds=0.5
         )
         try:
             with _connect(daemon) as client:
@@ -274,8 +322,15 @@ class TestWatchdog:
                     client.check_text("wedged", THEORY_HEAVY)
                 assert info.value.code == "cancelled"
                 assert info.value.retryable is True
+                # a multi-file check hangs on its lane the same way
+                with pytest.raises(ServerError) as info:
+                    client.request("check", paths=paths)
+                assert info.value.code == "cancelled"
                 assert client.check_text("after", THEORY_HEAVY)["ok"]
-            assert daemon.robustness["watchdog_cancels"] == 1
+                assert client.try_check(paths)["ok"]
+            robustness = daemon.robustness
+            assert robustness["watchdog_cancels"] == 2
+            assert robustness["cancelled"] == robustness["watchdog_cancels"]
         finally:
             daemon.stop()
 
