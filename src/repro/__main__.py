@@ -30,6 +30,7 @@ nonzero exit status, so batch invocations (CI, fuzz jobs) fail loudly.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -44,6 +45,31 @@ __all__ = ["main"]
 #: exit codes: static (parse/check) vs dynamic (evaluation) failure
 EXIT_STATIC = 1
 EXIT_DYNAMIC = 2
+
+
+def _count(minimum: int):
+    """An argparse ``type`` for an integer option that must be ≥ ``minimum``.
+
+    A bad value becomes a usage error naming the option, not a traceback
+    (or a silent no-op) deep in the command.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _positive_finite(text: str) -> float:
+    """An argparse ``type`` for a float option that must be finite and > 0."""
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
 
 
 def _print_engine_stats(checker: Checker) -> None:
@@ -606,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(fn=_cmd_eval)
 
     study = sub.add_parser("study", help="run the §5 case study")
-    study.add_argument("--scale", type=float, default=0.1,
+    study.add_argument("--scale", type=_positive_finite, default=0.1,
                        help="corpus scale (1.0 = the paper's 1085 ops)")
     study.set_defaults(fn=_cmd_study)
 
@@ -615,9 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument("--seed", type=int, default=0,
                       help="campaign seed; fully determines every program")
-    fuzz.add_argument("--count", type=int, default=200,
+    fuzz.add_argument("--count", type=_count(0), default=200,
                       help="number of programs to generate")
-    fuzz.add_argument("--shards", type=int, default=1,
+    fuzz.add_argument("--shards", type=_count(1), default=1,
                       help="worker shards (forked processes when available)")
     fuzz.add_argument("--checker", choices=["fresh", "shared"], default="fresh",
                       help="fresh Logic per shard, or the process-shared one")
@@ -675,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--seed", type=int, default=0,
                          help="corpus seed (same generator as fuzz)")
-    profile.add_argument("--count", type=int, default=60,
+    profile.add_argument("--count", type=_count(1), default=60,
                          help="corpus programs to check under the profiler")
     profile.add_argument("--top", type=int, default=25,
                          help="functions reported, by self time")
@@ -767,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "order); default: all of them")
     chaos.add_argument("--list", action="store_true",
                        help="list scenario names and exit")
-    chaos.add_argument("--workload", type=int, default=6,
+    chaos.add_argument("--workload", type=_count(1), default=6,
                        help="generated programs in the verification "
                             "workload")
     chaos.add_argument("--json", default=None, metavar="PATH",

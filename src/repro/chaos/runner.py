@@ -32,6 +32,10 @@ class ChaosConfig:
     #: generated programs in the verification workload
     workload_count: int = 6
 
+    def __post_init__(self) -> None:
+        if self.workload_count < 1:
+            raise ValueError("workload_count must be >= 1")
+
     def scenario_names(self) -> List[str]:
         if self.scenarios is None:
             return list(SCENARIOS)

@@ -22,7 +22,6 @@ these containers.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..tr.intern import node_id
@@ -143,8 +142,6 @@ class Env:
         "_fph_facts",
         "_fph_compounds",
         "_fp_owned",
-        "_parent",
-        "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -172,10 +169,6 @@ class Env:
         self._fph_facts = 0
         self._fph_compounds = 0
         self._fp_owned = True
-        #: weak reference to the environment this one was extended from,
-        #: used to derive incremental theory sessions (never affects
-        #: semantics; may be dead or None).
-        self._parent: Optional["weakref.ref[Env]"] = None
 
     def snapshot(self) -> "Env":
         dup = Env.__new__(Env)
@@ -200,7 +193,6 @@ class Env:
         dup._fph_compounds = self._fph_compounds
         self._fp_owned = False
         dup._fp_owned = False
-        dup._parent = None
         return dup
 
     def _own_fp(self) -> None:
@@ -211,12 +203,6 @@ class Env:
             self._fp_facts = set(self._fp_facts)
             self._fp_compounds = set(self._fp_compounds)
             self._fp_owned = True
-
-    def parent(self) -> Optional["Env"]:
-        """The environment this one was extended from, if still alive."""
-        if self._parent is None:
-            return None
-        return self._parent()
 
     # ------------------------------------------------------------------
     # fingerprinting (the incremental engine's cache key)

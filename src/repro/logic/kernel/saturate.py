@@ -38,8 +38,6 @@ which turns per-binding O(Γ) work into O(1).
 
 from __future__ import annotations
 
-import weakref
-
 from typing import List
 
 from ...tr.objects import PairObj
@@ -88,9 +86,6 @@ class Saturator:
             return env
         new_env = env.snapshot()
         self.assimilate(new_env, prop)
-        # Remember the lineage (weakly): the child's theory session can
-        # then be derived from the parent's instead of built from Γ.
-        new_env._parent = weakref.ref(env)
         return new_env
 
     def assimilate(self, env: Env, prop: Prop) -> None:

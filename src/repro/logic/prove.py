@@ -38,8 +38,7 @@ and it memoises its judgments across queries.
 * L-Theory goes through per-environment
   :class:`~repro.theories.registry.RegistrySession` objects — SMT-style
   push/pop contexts in which Γ's theory projection is translated once
-  per environment state (and derived incrementally from the parent
-  environment's session where possible) instead of once per goal.
+  per environment state instead of once per goal.
 * An optional **persistent proof cache**
   (:class:`repro.batch.cache.ProofCache`) can be attached; top-level
   ``proves`` verdicts are then shared across processes and across
@@ -104,7 +103,6 @@ class EngineStats:
         "theory_goals",
         "theory_batches",
         "session_builds",
-        "session_derives",
         "session_hits",
         "persist_hits",
         "persist_misses",
@@ -130,7 +128,6 @@ class EngineStats:
         self.theory_goals = 0
         self.theory_batches = 0
         self.session_builds = 0
-        self.session_derives = 0
         self.session_hits = 0
         self.persist_hits = 0
         self.persist_misses = 0
@@ -210,25 +207,11 @@ class EngineStats:
             setattr(self, slot, value)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "prove_calls": self.prove_calls,
-            "prove_hits": self.prove_hits,
-            "subtype_calls": self.subtype_calls,
-            "subtype_hits": self.subtype_hits,
-            "lookup_calls": self.lookup_calls,
-            "lookup_hits": self.lookup_hits,
-            "theory_goals": self.theory_goals,
-            "theory_batches": self.theory_batches,
-            "session_builds": self.session_builds,
-            "session_derives": self.session_derives,
-            "session_hits": self.session_hits,
-            "persist_hits": self.persist_hits,
-            "persist_misses": self.persist_misses,
-            "theory_queries": dict(self.theory_queries),
-            "solver_counters": dict(self.solver_counters),
-            "rule_hits": dict(self.rule_hits),
-            "stage_ns": dict(self.stage_ns),
-        }
+        out: Dict[str, object] = {}
+        for slot in self.__slots__:
+            value = getattr(self, slot)
+            out[slot] = dict(value) if slot in self._DICT_SLOTS else value
+        return out
 
 
 class StageTimers:
@@ -337,11 +320,11 @@ class Logic:
 
         Sessions already handed out (``theory_session`` results held by
         callers) are invalidated too: clearing :attr:`_sessions` means
-        they will never be served — or derived from — again, and their
-        memo tables are cleared so a stale answer cannot leak through a
-        retained reference.  An attached persistent cache is flushed
-        and its in-memory view dropped, so a reset engine re-reads only
-        what is actually on disk.
+        they will never be served again, and their memo tables are
+        cleared so a stale answer cannot leak through a retained
+        reference.  An attached persistent cache is flushed and its
+        in-memory view dropped, so a reset engine re-reads only what is
+        actually on disk.
 
         ``epoch`` lets a coordinator (the multi-lane daemon) drive a
         *fleet* of engines to one shared epoch: the engine's epoch
@@ -510,12 +493,9 @@ class Logic:
     def theory_session(self, env: Env) -> RegistrySession:
         """The incremental theory session holding ``[[Γ]]_T``.
 
-        One session is kept per environment state.  On a miss the
-        session is *derived* from the parent environment's session
-        whenever the parent's assumption set is contained in this one —
-        the solvers' translated state is cloned and only the delta is
-        asserted, mirroring an SMT push — and built from scratch
-        otherwise.
+        One session is kept per environment state.  On a miss a fresh
+        session is built and ``[[Γ]]_T`` is asserted into it; the
+        environments ``env`` was extended from play no part.
         """
         key = env.fingerprint()
         session = self._sessions.get(key)
@@ -532,36 +512,11 @@ class Logic:
             timers.exit("session", started)
 
     def _session_miss(self, env: Env, key: EnvKey) -> RegistrySession:
-        session = None
-        assumptions = self.theory_assumptions(env)
-        # Walk the extension lineage for the nearest environment that
-        # already owns a session whose assumption set this one extends.
-        ancestor = env.parent()
-        for _ in range(8):
-            if ancestor is None:
-                break
-            ancestor_session = self._sessions.get(ancestor.fingerprint())
-            if ancestor_session is None and ancestor.parent() is not None:
-                # Materialise the ancestor's session (recursively
-                # deriving it from *its* lineage): siblings extending
-                # the same Γ then share the translated prefix instead
-                # of each re-asserting the whole projection.
-                ancestor_session = self.theory_session(ancestor)
-            if ancestor_session is not None:
-                ancestor_facts = set(self.theory_assumptions(ancestor))
-                delta = [a for a in assumptions if a not in ancestor_facts]
-                if len(assumptions) - len(delta) == len(ancestor_facts):
-                    # ancestor ⊆ child: reuse the translated prefix.
-                    session = ancestor_session.derive(delta)
-                    self.stats.session_derives += 1
-                break
-            ancestor = ancestor.parent()
-        if session is None:
-            session = self.registry.session(
-                self.stats.theory_queries, self.stats.solver_counters
-            )
-            session.assert_all(assumptions)
-            self.stats.session_builds += 1
+        session = self.registry.session(
+            self.stats.theory_queries, self.stats.solver_counters
+        )
+        session.assert_all(self.theory_assumptions(env))
+        self.stats.session_builds += 1
         if len(self._sessions) >= self._session_limit:
             self._sessions.clear()
         self._sessions[key] = session

@@ -52,8 +52,7 @@ class IncrementalConstraintSet:
     memoised until the next content change, so repeated goals against a
     stable assumption set (the dominant checker pattern) cost a single
     dictionary probe.  :meth:`push`/:meth:`pop` bracket speculative
-    assertions; :meth:`clone` shares nothing mutable, letting a derived
-    context start from an already-translated assumption set.
+    assertions.
 
     Under the ``fast`` backend every asserted constraint is also a
     bound update on a persistent simplex tableau, so a goal is decided
@@ -158,23 +157,6 @@ class IncrementalConstraintSet:
             # retracted by the matching pop); queries then answer UNSAT
             # without pivoting.
             self._engine.assert_constraint(norm)
-
-    def clone(self) -> "IncrementalConstraintSet":
-        dup = IncrementalConstraintSet.__new__(IncrementalConstraintSet)
-        dup._frames = [list(frame) for frame in self._frames]
-        dup._seen = set(self._seen)
-        dup._contradiction_level = self._contradiction_level
-        dup._memo = dict(self._memo)
-        dup._sat_memo = self._sat_memo
-        dup._backend = self._backend
-        dup._engine = self._engine.clone() if self._engine is not None else None
-        dup._shared_counters = self._shared_counters
-        # The parent already flushed (or will flush) its own counters;
-        # the clone only reports work done after the split.
-        dup._flush_base = (
-            dup._engine.counters() if dup._engine is not None else {}
-        )
-        return dup
 
     # ------------------------------------------------------------------
     def constraints(self) -> List[Constraint]:

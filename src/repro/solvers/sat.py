@@ -246,22 +246,3 @@ class IncrementalSatSolver:
             results.append(self.check_sat())
             self.pop()
         return results
-
-    def clone(self) -> "IncrementalSatSolver":
-        """An independent solver with the same clause stack.
-
-        Under ``fast`` the clause frames are replayed into a fresh
-        engine — learned clauses are a cache and are not carried over.
-        """
-        dup = IncrementalSatSolver(self.max_conflicts, backend=self._backend)
-        start = 0
-        for mark in self._marks:
-            for clause in self._clauses[start:mark]:
-                dup.add_clause(clause)
-            dup.push()
-            start = mark
-        for clause in self._clauses[start:]:
-            dup.add_clause(clause)
-        dup._memo = self._memo
-        dup._shared_counters = self._shared_counters
-        return dup

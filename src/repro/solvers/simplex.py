@@ -706,30 +706,3 @@ class Simplex:
             "simplex.checks": self.checks,
             "simplex.branches": self.branches,
         }
-
-    def clone(self) -> "Simplex":
-        """An independent copy sharing nothing mutable.
-
-        The tableau rows are copied shallowly per row (entries are
-        plain ints), so deriving a child theory session from a parent
-        costs O(tableau) — not a re-translation of Γ.
-        """
-        dup = Simplex.__new__(Simplex)
-        dup._atom_vars = dict(self._atom_vars)
-        dup._atom_of = dict(self._atom_of)
-        dup._forms = dict(self._forms)
-        dup._goal_forms = dict(self._goal_forms)
-        dup._rows = {basic: dict(row) for basic, row in self._rows.items()}
-        dup._dens = dict(self._dens)
-        dup._cols = {var: set(basics) for var, basics in self._cols.items()}
-        dup._lower = dict(self._lower)
-        dup._upper = dict(self._upper)
-        dup._beta = dict(self._beta)
-        dup._next_var = self._next_var
-        dup._violated = set(self._violated)
-        dup._trail = [list(frame) for frame in self._trail]
-        dup._conflict_level = self._conflict_level
-        dup.pivots = self.pivots
-        dup.checks = self.checks
-        dup.branches = self.branches
-        return dup

@@ -279,10 +279,9 @@ def engine_stats_table(stats: EngineStats) -> str:
         f"  {'lookup cache':<22}{stats.lookup_hits:>8} hits /"
         f"{stats.lookup_calls:>8} queries  ({stats.lookup_hit_rate:5.1f}%)"
     )
-    sessions_total = stats.session_hits + stats.session_derives + stats.session_builds
+    sessions_total = stats.session_hits + stats.session_builds
     lines.append(
         f"  {'theory sessions':<22}{stats.session_hits:>8} reused /"
-        f"{stats.session_derives:>6} derived /"
         f"{stats.session_builds:>6} built  (of {sessions_total})"
     )
     lines.append(

@@ -97,9 +97,11 @@ class TheoryContext:
       (atoms the theory does not accept are ignored — dropping
       assumptions is sound);
     * :meth:`push` / :meth:`pop` bracket speculative assumptions;
-    * :meth:`entails` decides a goal under everything asserted;
-    * :meth:`clone` forks the context so a child environment can start
-      from its parent's already-translated assumption set.
+    * :meth:`entails` decides a goal under everything asserted.
+
+    The proof engine builds one context per environment state and
+    asserts that state's ``[[Γ]]_T`` into it, so a context never has to
+    copy itself.
 
     Soundness contract: like :meth:`Theory.entails`, ``entails`` may
     answer ``True`` only when the asserted assumptions really entail
@@ -137,9 +139,6 @@ class TheoryContext:
         agree exactly with per-goal :meth:`entails` calls.
         """
         return [self.entails(goal) for goal in goals]
-
-    def clone(self) -> "TheoryContext":
-        raise NotImplementedError
 
     def is_unsat(self) -> bool:
         """Are the asserted assumptions definitely inconsistent?
@@ -213,9 +212,3 @@ class BatchContext(TheoryContext):
             self._memo.update(patched)
             results = [patched.get(goal, res) for goal, res in zip(goals, results)]
         return results
-
-    def clone(self) -> "BatchContext":
-        dup = BatchContext(self.theory)
-        dup._frames = [list(frame) for frame in self._frames]
-        dup._memo = dict(self._memo)
-        return dup

@@ -559,16 +559,3 @@ class BitvectorContext(TheoryContext):
                 self._memo[goal] = verdict
                 results[position] = verdict
         return results
-
-    def clone(self) -> "BitvectorContext":
-        dup = BitvectorContext.__new__(BitvectorContext)
-        dup.theory = self.theory
-        dup._frames = [list(frame) for frame in self._frames]
-        dup._memo = dict(self._memo)
-        # The analysis and encoding are rebuilt lazily on the clone
-        # (sharing a blaster between forked contexts would entangle
-        # their clause stacks).
-        dup._bounds = None
-        dup._encoded = None
-        dup._counters = self._counters
-        return dup

@@ -193,11 +193,3 @@ class CongruenceContext(TheoryContext):
                 residue is not None and residue == goal.residue % goal.modulus
             )
         return results
-
-    def clone(self) -> "CongruenceContext":
-        dup = CongruenceContext.__new__(CongruenceContext)
-        dup.theory = self.theory
-        dup._known = dict(self._known)
-        dup._trail = [list(frame) for frame in self._trail]
-        dup._inconsistent_level = self._inconsistent_level
-        return dup

@@ -151,9 +151,3 @@ class LinArithContext(TheoryContext):
 
     def is_unsat(self) -> bool:
         return self._set.satisfiable(self.theory.max_constraints) == UNSAT
-
-    def clone(self) -> "LinArithContext":
-        dup = LinArithContext.__new__(LinArithContext)
-        dup.theory = self.theory
-        dup._set = self._set.clone()
-        return dup

@@ -15,9 +15,9 @@ Two query paths are offered:
   every goal.
 * :meth:`TheoryRegistry.session` — a :class:`RegistrySession` bundling
   one incremental :class:`~repro.theories.base.TheoryContext` per
-  theory.  The proof engine keeps a session per environment state and
-  derives child sessions from parent ones, so Γ is translated into each
-  solver once rather than once per goal.
+  theory.  The proof engine keeps a session per environment state, so
+  Γ is translated into each solver once per state rather than once per
+  goal.
 """
 
 from __future__ import annotations
@@ -114,10 +114,8 @@ class RegistrySession:
     ``assert_prop`` fans an assumption out to the contexts that accept
     it; ``entails`` consults the accepting theories in registration
     order, memoising each goal's answer until the assumption set
-    changes.  ``derive`` forks the session (cloning
-    the translated solver state) and asserts a delta — how a child
-    environment's session is built from its parent's without
-    re-encoding Γ.
+    changes.  A session is built once per environment state and never
+    copied: Γ's projection is asserted into fresh contexts.
 
     ``counters`` (theory name → query count) is shared with the caller
     so the engine can report per-theory query totals;
@@ -131,7 +129,6 @@ class RegistrySession:
         "_contexts",
         "_memo",
         "counters",
-        "solver_counters",
     )
 
     def __init__(
@@ -144,7 +141,6 @@ class RegistrySession:
         self._contexts: List[TheoryContext] = [t.context() for t in self._theories]
         self._memo: Dict[TheoryProp, bool] = {}
         self.counters = counters if counters is not None else {}
-        self.solver_counters = solver_counters
         if solver_counters is not None:
             for context in self._contexts:
                 context.bind_counters(solver_counters)
@@ -239,22 +235,6 @@ class RegistrySession:
             if isinstance(theory, LinearArithmeticTheory) and context.is_unsat():
                 return True
         return False
-
-    def derive(self, delta: Sequence[Prop]) -> "RegistrySession":
-        """Fork this session and assert ``delta`` on the copy."""
-        dup = RegistrySession.__new__(RegistrySession)
-        dup._theories = self._theories
-        dup._contexts = [context.clone() for context in self._contexts]
-        dup._memo = dict(self._memo) if not delta else {}
-        dup.counters = self.counters
-        # Context clones carry their counter binding; keep the handle so
-        # further derivations stay attached to the same shared dict.
-        dup.solver_counters = self.solver_counters
-        for prop in delta:
-            for theory, context in zip(dup._theories, dup._contexts):
-                if isinstance(prop, TheoryProp) and theory.accepts(prop):
-                    context.assert_prop(prop)
-        return dup
 
 
 def default_registry(backend: Optional[str] = None) -> TheoryRegistry:

@@ -173,6 +173,28 @@ class TestStudy:
         assert "math" in out
 
 
+class TestNumericOptions:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["fuzz", "--count", "-1"], "--count"),
+            (["fuzz", "--shards", "0"], "--shards"),
+            (["study", "--scale", "nan"], "--scale"),
+            (["study", "--scale", "inf"], "--scale"),
+            (["profile", "--count", "-1"], "--count"),
+            (["chaos", "--workload", "0"], "--workload"),
+            (["chaos", "--workload", "-1"], "--workload"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error_naming_the_option(
+        self, argv, option, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {option}:" in capsys.readouterr().err
+
+
 class TestServeAndClient:
     """The daemon subcommands; the full service is tested in
     tests/test_server.py — here we pin the CLI contract."""

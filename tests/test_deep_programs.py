@@ -154,6 +154,26 @@ class TestDeepNesting:
         finally:
             sys.setrecursionlimit(limit)
 
+    @pytest.mark.slow
+    def test_theory_query_at_the_tip_of_a_deep_extension_chain(self):
+        # A theory session is built from the environment's own [[Γ]]_T,
+        # never by walking the chain of environments it was extended
+        # from, so a 600-step chain costs no Python frame per step.
+        from repro.tr.objects import Var
+        from repro.tr.props import lin_le
+
+        logic = Logic()
+        xs = [Var(f"x{index}") for index in range(601)]
+        chain = [Env()]
+        for index in range(600):
+            chain.append(logic.extend(chain[-1], lin_le(xs[index], xs[index + 1])))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert logic.proves(chain[-1], lin_le(xs[0], xs[600]))
+        finally:
+            sys.setrecursionlimit(limit)
+
 
 @contextmanager
 def default_recursion_limit():

@@ -66,14 +66,6 @@ class TestLinArithContext:
         assert not ctx.is_unsat()
         assert not ctx.entails(leq(obj_int(99), x))
 
-    def test_clone_is_independent(self):
-        ctx = LinearArithmeticTheory().context()
-        ctx.assert_prop(leq(x, obj_int(5)))
-        fork = ctx.clone()
-        fork.assert_prop(leq(x, obj_int(1)))
-        assert fork.entails(leq(x, obj_int(2)))
-        assert not ctx.entails(leq(x, obj_int(2)))
-
     def test_pop_without_push_raises(self):
         with pytest.raises(IndexError):
             LinearArithmeticTheory().context().pop()
@@ -150,17 +142,6 @@ class TestRegistrySession:
         session.assert_all(facts)
         for goal in (leq(x, obj_int(9)), Congruence(x, 2, 0)):
             assert session.entails(goal) == registry.entails(facts, goal) == True
-
-    def test_derive_reuses_prefix(self):
-        counters = {}
-        session = default_registry().session(counters)
-        session.assert_prop(leq(x, obj_int(5)))
-        child = session.derive([leq(y, obj_int(3))])
-        assert child.entails(leq(y, obj_int(7)))
-        assert child.entails(leq(x, obj_int(7)))
-        # the parent must not see the derived assumption
-        assert not session.entails(leq(y, obj_int(7)))
-        assert counters["linear-arithmetic"] >= 1
 
     def test_query_counters(self):
         counters = {}
