@@ -172,8 +172,9 @@ def _time_micro(backend, repeats=200):
 
 
 def _time_warm(backend, rounds=50):
-    """Warm incremental reuse: a pushed frame re-checking a fixed goal
-    set — the daemon-lane pattern where memoisation must stay intact."""
+    """Warm incremental reuse: one context re-solving a fixed goal set
+    against assumptions translated once.  Nothing below the theory
+    session memoises goals, so every round is a real re-solve."""
     idx = [f"i{k}" for k in range(8)]
     assumptions = [Constraint.make({v: -1}, 0) for v in idx]
     assumptions.append(Constraint.make({"n0": 1}, -16))
@@ -184,16 +185,14 @@ def _time_warm(backend, rounds=50):
     ics = IncrementalConstraintSet(backend=backend)
     for con in assumptions:
         ics.add(con)
-    ics.push()
     ics.add(Constraint.make({"i0": -1, "n0": 1}, -64))
     for goal in goals:
-        ics.entails(goal)  # populate the memo
+        ics.entails(goal)  # warm-up round, off the clock
     start = time.perf_counter()
     for _ in range(rounds):
         for goal in goals:
             assert ics.entails(goal) is True
     elapsed = time.perf_counter() - start
-    ics.pop()
     return elapsed / (rounds * len(goals))
 
 

@@ -36,9 +36,10 @@ and it memoises its judgments across queries.
   when at least as much fuel was available, so caching never makes the
   checker *more* conservative than the uncached search.
 * L-Theory goes through per-environment
-  :class:`~repro.theories.registry.RegistrySession` objects — SMT-style
-  push/pop contexts in which Γ's theory projection is translated once
-  per environment state instead of once per goal.
+  :class:`~repro.theories.registry.RegistrySession` objects —
+  append-only solver contexts into which Γ's theory projection is
+  asserted once per environment state instead of once per goal; the
+  session memoises each goal's answer.
 * An optional **persistent proof cache**
   (:class:`repro.batch.cache.ProofCache`) can be attached; top-level
   ``proves`` verdicts are then shared across processes and across

@@ -9,9 +9,9 @@ deciding is done by one of two cores selected by the
 
 * ``fast`` (default): the incremental dual simplex of
   :mod:`repro.solvers.simplex` — assumptions are translated into the
-  tableau *once*, push/pop retract bounds in O(1), and each
-  :meth:`IncrementalConstraintSet.entails` goal costs a handful of
-  pivots instead of a full re-elimination;
+  tableau *once*, and each :meth:`IncrementalConstraintSet.entails`
+  goal is a bracketed bound update costing a handful of pivots
+  instead of a full re-elimination;
 * ``legacy``: the original Fourier-Motzkin eliminator, now living in
   :mod:`repro.solvers.reference` as the differential-testing oracle.
 
@@ -25,7 +25,7 @@ verdict-for-verdict in the fuzz ``--solver-oracle`` mode.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .backend import FAST, resolve_backend
 from .linform import SAT, UNKNOWN, UNSAT, Atom, Constraint
@@ -44,15 +44,13 @@ __all__ = [
 
 
 class IncrementalConstraintSet:
-    """A push/pop constraint store — the SMT-style context backing the
+    """An append-only constraint store — the context backing the
     incremental linear-arithmetic theory.
 
     Constraints are normalised and made unique *once*, as they are
-    asserted; :meth:`entails` and :meth:`satisfiable` answers are
-    memoised until the next content change, so repeated goals against a
-    stable assumption set (the dominant checker pattern) cost a single
-    dictionary probe.  :meth:`push`/:meth:`pop` bracket speculative
-    assertions.
+    asserted; the :meth:`satisfiable` answer is memoised until the next
+    content change.  A contradictory constraint latches the set: from
+    then on it is UNSAT and entails everything.
 
     Under the ``fast`` backend every asserted constraint is also a
     bound update on a persistent simplex tableau, so a goal is decided
@@ -61,10 +59,9 @@ class IncrementalConstraintSet:
     """
 
     __slots__ = (
-        "_frames",
+        "_constraints",
         "_seen",
-        "_contradiction_level",
-        "_memo",
+        "_contradiction",
         "_sat_memo",
         "_backend",
         "_engine",
@@ -73,12 +70,9 @@ class IncrementalConstraintSet:
     )
 
     def __init__(self, backend: Optional[str] = None) -> None:
-        self._frames: List[List[Constraint]] = [[]]
+        self._constraints: List[Constraint] = []
         self._seen: set = set()
-        #: frame index at which a contradictory constraint was asserted,
-        #: or None — popping past it restores consistency.
-        self._contradiction_level: Optional[int] = None
-        self._memo: Dict[Constraint, bool] = {}
+        self._contradiction = False
         self._sat_memo: Optional[str] = None
         self._backend = resolve_backend(backend)
         self._engine: Optional[Simplex] = (
@@ -113,60 +107,33 @@ class IncrementalConstraintSet:
         self._flush_base = snapshot
 
     # ------------------------------------------------------------------
-    def push(self) -> None:
-        self._frames.append([])
-        if self._engine is not None:
-            self._engine.push()
-
-    def pop(self) -> None:
-        if len(self._frames) == 1:
-            raise IndexError("pop without matching push")
-        frame = self._frames.pop()
-        for con in frame:
-            self._seen.discard(con)
-        if (
-            self._contradiction_level is not None
-            and self._contradiction_level >= len(self._frames)
-        ):
-            self._contradiction_level = None
-        if frame:
-            self._memo = {}
-            self._sat_memo = None
-        if self._engine is not None:
-            self._engine.pop()
-
     def add(self, con: Constraint) -> None:
+        if self._contradiction:
+            return
         norm = con.normalized()
         if norm.is_contradiction():
-            if self._contradiction_level is None:
-                self._contradiction_level = len(self._frames) - 1
-                # Recorded in the frame so pop() can retract it.
-                self._frames[-1].append(norm)
-                self._seen.add(norm)
-                self._memo = {}
-                self._sat_memo = None
+            self._contradiction = True
+            self._sat_memo = None
             return
         if norm.is_trivial() or norm in self._seen:
             return
         self._seen.add(norm)
-        self._frames[-1].append(norm)
-        self._memo = {}
+        self._constraints.append(norm)
         self._sat_memo = None
         if self._engine is not None:
-            # A bound conflict is recorded inside the engine (and
-            # retracted by the matching pop); queries then answer UNSAT
-            # without pivoting.
+            # A bound conflict is recorded inside the engine; queries
+            # then answer UNSAT without pivoting.
             self._engine.assert_constraint(norm)
 
     # ------------------------------------------------------------------
     def constraints(self) -> List[Constraint]:
-        return [con for frame in self._frames for con in frame]
+        return list(self._constraints)
 
     def __len__(self) -> int:
-        return sum(len(frame) for frame in self._frames)
+        return len(self._constraints)
 
     def satisfiable(self, max_constraints: int = 6000) -> str:
-        if self._contradiction_level is not None:
+        if self._contradiction:
             return UNSAT
         if self._sat_memo is None:
             if self._engine is not None:
@@ -176,22 +143,18 @@ class IncrementalConstraintSet:
                 self._flush()
             else:
                 self._sat_memo = fm_satisfiable(
-                    self.constraints(), max_constraints
+                    self._constraints, max_constraints
                 )
         return self._sat_memo
 
     def entails(self, goal: Constraint, max_constraints: int = 6000) -> bool:
-        if self._contradiction_level is not None:
+        if self._contradiction:
             return True  # ex falso
-        cached = self._memo.get(goal)
-        if cached is None:
-            if self._engine is not None:
-                cached = self._engine.entails(goal, max_pivots=max_constraints)
-                self._flush()
-            else:
-                cached = fm_entails(self.constraints(), goal, max_constraints)
-            self._memo[goal] = cached
-        return cached
+        if self._engine is None:
+            return fm_entails(self._constraints, goal, max_constraints)
+        verdict = self._engine.entails(goal, max_pivots=max_constraints)
+        self._flush()
+        return verdict
 
     def entails_many(
         self, goals: Sequence[Constraint], max_constraints: int = 6000
@@ -200,27 +163,17 @@ class IncrementalConstraintSet:
 
         Under ``fast`` each goal is a push/assert/check/pop bracket on
         the *same* tableau — the assumptions are translated once for the
-        whole batch.  Under ``legacy`` the assumption constraints are
-        materialised once and shared by every elimination run.  Answers
-        agree exactly with per-goal :meth:`entails` calls (both go
-        through the same memo).
+        whole batch, and the work counters are flushed once.  Answers
+        agree exactly with per-goal :meth:`entails` calls.
         """
-        if self._contradiction_level is not None:
+        if self._contradiction:
             return [True] * len(goals)
-        base: Optional[List[Constraint]] = None
-        results: List[bool] = []
         engine = self._engine
-        for goal in goals:
-            cached = self._memo.get(goal)
-            if cached is None:
-                if engine is not None:
-                    cached = engine.entails(goal, max_pivots=max_constraints)
-                else:
-                    if base is None:
-                        base = self.constraints()
-                    cached = fm_entails(base, goal, max_constraints)
-                self._memo[goal] = cached
-            results.append(cached)
-        if engine is not None:
-            self._flush()
+        if engine is None:
+            return [
+                fm_entails(self._constraints, goal, max_constraints)
+                for goal in goals
+            ]
+        results = [engine.entails(goal, max_pivots=max_constraints) for goal in goals]
+        self._flush()
         return results

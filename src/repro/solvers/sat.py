@@ -15,17 +15,21 @@ The public surface (:func:`solve`, :func:`is_satisfiable`,
 selected by the ``solver_backend`` knob (:mod:`repro.solvers.backend`):
 
 * ``fast`` (default): the CDCL engine of :mod:`repro.solvers.cdcl`.
-  :class:`IncrementalSatSolver` maps ``push``/``pop`` to *selector
-  literals* — clauses added inside a pushed frame are guarded by that
-  frame's selector, queries solve under the active selectors as
-  assumptions, and ``pop`` retires a selector with a permanent unit.
-  The engine object persists across queries, so learned clauses are
-  reused across a whole ``check_many`` batch instead of restarting the
-  search per goal.
+  :class:`IncrementalSatSolver` brackets each speculative probe of
+  :meth:`~IncrementalSatSolver.check_many` with an internal
+  ``push``/``pop`` mapped to *selector literals* — clauses added inside
+  a pushed frame are guarded by that frame's selector, queries solve
+  under the active selectors as assumptions, and ``pop`` retires a
+  selector with a permanent unit.  The engine object persists across
+  queries, so learned clauses are reused across a whole ``check_many``
+  batch instead of restarting the search per goal.
 * ``legacy``: the original recursive DPLL, now living in
   :mod:`repro.solvers.reference` as the differential-testing oracle;
   ``push``/``pop`` is clause-list truncation and every query re-solves
   from scratch.
+
+Nothing is memoised here: the theory session above already answers
+each repeated goal once.
 """
 
 from __future__ import annotations
@@ -94,8 +98,7 @@ class IncrementalSatSolver:
     The incremental discipline the bitvector theory context uses: the
     (large) environment encoding is asserted once, then each goal is
     checked under a ``push``/``pop`` bracket holding only the negated
-    goal.  Satisfiability answers are memoised per content generation,
-    so re-checking an unchanged stack is free.
+    goal.
 
     Under ``fast`` the incrementality is real solver incrementality:
     one persistent CDCL engine, frames as assumption selectors, learned
@@ -107,7 +110,6 @@ class IncrementalSatSolver:
     __slots__ = (
         "_clauses",
         "_marks",
-        "_memo",
         "max_conflicts",
         "_backend",
         "_engine",
@@ -122,7 +124,6 @@ class IncrementalSatSolver:
     ) -> None:
         self._clauses: CNF = []
         self._marks: List[int] = []
-        self._memo: Optional[bool] = None
         self.max_conflicts = max_conflicts
         self._backend = resolve_backend(backend)
         self._engine: Optional[CDCL] = (
@@ -165,7 +166,6 @@ class IncrementalSatSolver:
     # ------------------------------------------------------------------
     def add_clause(self, clause: Sequence[int]) -> None:
         self._clauses.append(list(clause))
-        self._memo = None
         if self._engine is not None:
             if self._selectors:
                 # Guarded: active only while this frame's selector is
@@ -179,7 +179,6 @@ class IncrementalSatSolver:
         # ingest, and push/pop only truncates this list.
         if self._engine is None:
             self._clauses.extend(clauses)
-            self._memo = None
             return
         for clause in clauses:
             self.add_clause(clause)
@@ -191,10 +190,7 @@ class IncrementalSatSolver:
             self._selectors.append(self._next_selector)
 
     def pop(self) -> None:
-        mark = self._marks.pop()
-        if len(self._clauses) != mark:
-            del self._clauses[mark:]
-            self._memo = None
+        del self._clauses[self._marks.pop():]
         if self._engine is not None:
             selector = self._selectors.pop()
             # Permanently deactivate the frame's guarded clauses.
@@ -206,24 +202,19 @@ class IncrementalSatSolver:
         Resource exhaustion reports *satisfiable* (cannot refute), the
         sound direction for refutation-based callers.
         """
-        if self._memo is None:
-            try:
-                if self._engine is not None:
-                    sat, _model = self._engine.solve(
-                        assumptions=self._selectors,
-                        max_conflicts=self.max_conflicts,
-                    )
-                    self._memo = sat
-                else:
-                    sat, _model, _ = dpll_solve(
-                        self._clauses, self.max_conflicts
-                    )
-                    self._memo = sat
-            except ResourceWarning:
-                return True  # not memoised: a retry may get luckier
-            finally:
-                self._flush()
-        return self._memo
+        try:
+            if self._engine is not None:
+                sat, _model = self._engine.solve(
+                    assumptions=self._selectors,
+                    max_conflicts=self.max_conflicts,
+                )
+            else:
+                sat, _model, _ = dpll_solve(self._clauses, self.max_conflicts)
+        except ResourceWarning:
+            return True
+        finally:
+            self._flush()
+        return sat
 
     def check_many(
         self, extra_clause_sets: Iterable[Iterable[Sequence[int]]]

@@ -15,7 +15,10 @@ Integrating a theory T into λRTR requires, per the paper:
 This module defines the solver-side contract (step 4): a
 :class:`Theory` answers entailment queries ``Γ ⊨_T χ`` given the
 theory-relevant propositions the logic extracted from the environment
-(the ``[[Γ]]_T`` of the L-Theory rule).
+(the ``[[Γ]]_T`` of the L-Theory rule), and its append-only
+:class:`TheoryContext` answers the same queries against assumptions
+asserted once.  A new theory needs ``accepts`` and ``entails``; a
+context of its own (``assert_prop`` + ``entails``) is an optimisation.
 """
 
 from __future__ import annotations
@@ -86,33 +89,25 @@ class Theory:
 
 
 class TheoryContext:
-    """An SMT-style incremental solver context (``push``/``assert``/``pop``).
+    """An append-only incremental solver context (``assert``/``entails``).
 
     The L-Theory query path used to re-encode the whole of ``[[Γ]]_T``
     on every goal; a context instead *accumulates* assumptions — each
-    translated once — and answers any number of goals against them.
-    Contexts mirror the discipline of an SMT solver session:
+    translated once — and answers any number of goals against them:
 
-    * :meth:`assert_prop` adds one assumption to the current frame
-      (atoms the theory does not accept are ignored — dropping
-      assumptions is sound);
-    * :meth:`push` / :meth:`pop` bracket speculative assumptions;
+    * :meth:`assert_prop` adds one assumption (atoms the theory does
+      not accept are ignored — dropping assumptions is sound);
     * :meth:`entails` decides a goal under everything asserted.
 
-    The proof engine builds one context per environment state and
-    asserts that state's ``[[Γ]]_T`` into it, so a context never has to
-    copy itself.
+    The proof engine builds one context per environment state, asserts
+    that state's ``[[Γ]]_T`` into it and then only queries it, so a
+    context never retracts an assumption or copies itself.  Repeated
+    goals are memoised one level up, in the registry session.
 
     Soundness contract: like :meth:`Theory.entails`, ``entails`` may
     answer ``True`` only when the asserted assumptions really entail
     the goal; ``False`` ("not proved") is always safe.
     """
-
-    def push(self) -> None:
-        raise NotImplementedError
-
-    def pop(self) -> None:
-        raise NotImplementedError
 
     def assert_prop(self, prop: Prop) -> None:
         raise NotImplementedError
@@ -134,9 +129,9 @@ class TheoryContext:
 
         One call per theory session instead of N single-goal
         round-trips: contexts backed by incremental solvers override
-        this so per-batch work (assumption flattening, range analysis,
-        encoding setup) happens once.  Answers are positional and must
-        agree exactly with per-goal :meth:`entails` calls.
+        this so per-batch work (range analysis, encoding setup) happens
+        once.  Answers are positional and must agree exactly with
+        per-goal :meth:`entails` calls.
         """
         return [self.entails(goal) for goal in goals]
 
@@ -152,63 +147,28 @@ class TheoryContext:
 class BatchContext(TheoryContext):
     """Fallback context for theories without an incremental solver.
 
-    Keeps the accepted assumptions in push/pop frames and re-runs the
-    theory's batch :meth:`~Theory.entails` per goal, memoising answers
-    until the assumption set changes — still a large win over
-    re-translating the environment on every query.
+    Keeps the accepted assumptions in one list and hands it to the
+    theory's one-shot :meth:`~Theory.entails` per goal, or to
+    :meth:`~Theory.entails_batch` once per batch.
     """
 
-    __slots__ = ("theory", "_frames", "_memo")
+    __slots__ = ("theory", "_props")
 
     def __init__(self, theory: Theory) -> None:
         self.theory = theory
-        self._frames: List[List[TheoryProp]] = [[]]
-        self._memo: dict = {}
-
-    def push(self) -> None:
-        self._frames.append([])
-
-    def pop(self) -> None:
-        if len(self._frames) == 1:
-            raise IndexError("pop without matching push")
-        if self._frames.pop():
-            self._memo = {}
+        self._props: List[TheoryProp] = []
 
     def assert_prop(self, prop: Prop) -> None:
         if isinstance(prop, TheoryProp) and self.theory.accepts(prop):
-            self._frames[-1].append(prop)
-            self._memo = {}
+            self._props.append(prop)
 
     def entails(self, goal: TheoryProp) -> bool:
-        if not self.theory.accepts(goal):
-            return False
-        cached = self._memo.get(goal)
-        if cached is None:
-            assumptions = [prop for frame in self._frames for prop in frame]
-            cached = self.theory.entails(assumptions, goal)
-            self._memo[goal] = cached
-        return cached
+        return self.theory.accepts(goal) and self.theory.entails(self._props, goal)
 
     def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
-        """Flatten the assumption frames once for the whole batch."""
-        assumptions: Optional[List[TheoryProp]] = None
-        results: List[bool] = []
-        fresh: List[TheoryProp] = []
-        for goal in goals:
-            if not self.theory.accepts(goal):
-                results.append(False)
-                continue
-            cached = self._memo.get(goal)
-            if cached is None:
-                if assumptions is None:
-                    assumptions = [p for frame in self._frames for p in frame]
-                fresh.append(goal)
-                results.append(False)  # placeholder, patched below
-            else:
-                results.append(cached)
-        if fresh:
-            answers = self.theory.entails_batch(assumptions, fresh)
-            patched = dict(zip(fresh, answers))
-            self._memo.update(patched)
-            results = [patched.get(goal, res) for goal, res in zip(goals, results)]
-        return results
+        """One :meth:`Theory.entails_batch` dispatch for the whole batch."""
+        accepted = [goal for goal in goals if self.theory.accepts(goal)]
+        if not accepted:
+            return [False] * len(goals)
+        answers = dict(zip(accepted, self.theory.entails_batch(self._props, accepted)))
+        return [answers.get(goal, False) for goal in goals]

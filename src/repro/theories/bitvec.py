@@ -370,26 +370,25 @@ class _Encoder:
 
 
 class BitvectorContext(TheoryContext):
-    """Incremental bitvector context: Γ is bit-blasted once per
-    assumption generation, goals ride a push/pop clause stack.
+    """Incremental bitvector context: Γ is bit-blasted once, goals ride
+    a push/pop clause stack.
 
-    The batch path re-runs the range analysis and re-encodes every
+    The one-shot path re-runs the range analysis and re-encodes every
     assumption for *each* goal.  This context instead keeps a
     persistent :class:`BitBlaster`/encoder pair and an
     :class:`~repro.solvers.sat.IncrementalSatSolver`: assumption
-    clauses are asserted once, each goal adds its (conservative
-    Tseitin) definition clauses to the shared encoding, and only the
-    negated-goal unit lives inside a ``push``/``pop`` bracket.  Any
-    change to the assumption set simply drops the encoding, which is
-    rebuilt lazily on the next query.
+    clauses are asserted once, and each goal's (conservative Tseitin)
+    definition clauses plus its negated-goal unit live inside a
+    ``push``/``pop`` bracket of the solver.  An assertion after a query
+    drops the range analysis and the encoding, which are rebuilt lazily
+    on the next query.
     """
 
-    __slots__ = ("theory", "_frames", "_memo", "_bounds", "_encoded", "_counters")
+    __slots__ = ("theory", "_props", "_bounds", "_encoded", "_counters")
 
     def __init__(self, theory: BitvectorTheory) -> None:
         self.theory = theory
-        self._frames: List[List[Union[LeqZero, BVProp]]] = [[]]
-        self._memo: Dict[TheoryProp, bool] = {}
+        self._props: List[Union[LeqZero, BVProp]] = []
         #: lazily built range analysis over the current assumptions
         self._bounds: Optional[_Bounds] = None
         #: lazily built (blaster, encoder, solver)
@@ -402,30 +401,15 @@ class BitvectorContext(TheoryContext):
         if self._encoded is not None:
             self._encoded[2].bind_counters(shared)
 
-    def push(self) -> None:
-        self._frames.append([])
-
-    def pop(self) -> None:
-        if len(self._frames) == 1:
-            raise IndexError("pop without matching push")
-        if self._frames.pop():
-            self._memo = {}
-            self._bounds = None
-            self._encoded = None
-
     def assert_prop(self, prop: Prop) -> None:
         if isinstance(prop, (LeqZero, BVProp)):
-            self._frames[-1].append(prop)
-            self._memo = {}
+            self._props.append(prop)
             self._bounds = None
             self._encoded = None
-
-    def _assumptions(self) -> List[Union[LeqZero, BVProp]]:
-        return [prop for frame in self._frames for prop in frame]
 
     def _ensure_bounds(self) -> "_Bounds":
         if self._bounds is None:
-            self._bounds = _gather_bounds(self._assumptions())[0]
+            self._bounds = _gather_bounds(self._props)[0]
         return self._bounds
 
     def _groundable(self, goal: TheoryProp, bounds: "_Bounds") -> bool:
@@ -459,12 +443,11 @@ class BitvectorContext(TheoryContext):
 
     def _ensure_encoded(self) -> list:
         if self._encoded is None:
-            assumptions = self._assumptions()
             bounds = self._ensure_bounds()
             blaster = BitBlaster()
             encoder = _Encoder(blaster, bounds, self.theory.width)
             for wanted in (BVProp, LeqZero):
-                for prop in assumptions:
+                for prop in self._props:
                     if isinstance(prop, wanted):
                         lit = encoder.encode_prop(prop)
                         if lit is not None:
@@ -478,15 +461,9 @@ class BitvectorContext(TheoryContext):
     def entails(self, goal: TheoryProp) -> bool:
         if not isinstance(goal, (BVProp, LeqZero)):
             return False
-        cached = self._memo.get(goal)
-        if cached is not None:
-            return cached
         if not self._groundable(goal, self._ensure_bounds()):
-            self._memo[goal] = False  # decline without blasting Γ
-            return False
-        result = self._decide_encoded(goal)
-        self._memo[goal] = result
-        return result
+            return False  # decline without blasting Γ
+        return self._decide_encoded(goal)
 
     def _speculative_clauses(self, goal: TheoryProp) -> Optional[List[List[int]]]:
         """Encode ``goal`` and return its clause set plus the ¬goal unit.
@@ -520,42 +497,28 @@ class BitvectorContext(TheoryContext):
         """Blast ``[[Γ]]_T`` at most once for the whole batch.
 
         The range analysis and assumption encoding are shared by every
-        goal.  Each undecided goal is speculatively encoded (and its
+        goal.  Each groundable goal is speculatively encoded (and its
         Tseitin clauses retracted, so goals never pay for each other),
         then the negated-goal clause sets go to the SAT solver as
         **one** :meth:`IncrementalSatSolver.check_many` call against
         the shared assumption prefix — N goals cost one translation
         plus one multi-probe solver call instead of N translations.
         """
-        bounds: Optional[_Bounds] = None
         results: List[bool] = []
-        pending: List[Tuple[int, TheoryProp, List[List[int]]]] = []
+        pending: List[Tuple[int, List[List[int]]]] = []
         for goal in goals:
-            if not isinstance(goal, (BVProp, LeqZero)):
-                results.append(False)
-                continue
-            cached = self._memo.get(goal)
-            if cached is not None:
-                results.append(cached)
-                continue
-            if bounds is None:
-                bounds = self._ensure_bounds()
-            if not self._groundable(goal, bounds):
-                self._memo[goal] = False  # decline without blasting Γ
-                results.append(False)
-                continue
-            extra = self._speculative_clauses(goal)
-            if extra is None:
-                self._memo[goal] = False  # not groundable after all
-                results.append(False)
-            else:
-                pending.append((len(results), goal, extra))
-                results.append(False)  # patched below
+            extra = None
+            # An ungroundable goal is declined without blasting Γ.
+            if isinstance(goal, (BVProp, LeqZero)) and self._groundable(
+                goal, self._ensure_bounds()
+            ):
+                extra = self._speculative_clauses(goal)
+            if extra is not None:
+                pending.append((len(results), extra))
+            results.append(False)  # declined, or patched below
         if pending:
             solver = self._encoded[2]
-            answers = solver.check_many([extra for _, _, extra in pending])
-            for (position, goal, _), sat in zip(pending, answers):
-                verdict = not sat  # refuting ¬goal proves the goal
-                self._memo[goal] = verdict
-                results[position] = verdict
+            answers = solver.check_many([extra for _, extra in pending])
+            for (position, _), sat in zip(pending, answers):
+                results[position] = not sat  # refuting ¬goal proves the goal
         return results

@@ -44,12 +44,11 @@ def merge_congruences(
     if (r1 - r2) % g != 0:
         return None
     lcm = m1 // g * m2
-    # Solve x ≡ r1 (mod m1), x ≡ r2 (mod m2) by stepping r1 in m1-strides.
-    step = m1
-    x = r1
-    while x % m2 != r2 % m2:
-        x += step
-    return lcm, x % lcm
+    # x = r1 + m1·k with m1·k ≡ r2 - r1 (mod m2); dividing through by g
+    # leaves m1/g invertible modulo m2/g.
+    n = m2 // g
+    k = (r2 - r1) // g * pow(m1 // g, -1, n) % n
+    return lcm, (r1 + m1 * k) % lcm
 
 
 class CongruenceTheory(Theory):
@@ -116,61 +115,35 @@ class CongruenceTheory(Theory):
 
 
 class CongruenceContext(TheoryContext):
-    """Incremental residue table with a push/pop undo trail.
+    """Incremental residue table.
 
-    Assertions CRT-merge into a persistent atom → (modulus, residue)
-    map; each frame records the entries it overwrote so :meth:`pop`
-    restores them exactly.  An inconsistent merge latches the frame's
-    inconsistency flag (ex falso: everything is then entailed) until
-    the offending frame is popped.
+    Assertions CRT-merge into an atom → (modulus, residue) map.  An
+    inconsistent merge latches the context (ex falso: everything is
+    then entailed).
     """
 
-    __slots__ = ("theory", "_known", "_trail", "_inconsistent_level")
+    __slots__ = ("theory", "_known", "_inconsistent")
 
     def __init__(self, theory: CongruenceTheory) -> None:
         self.theory = theory
         self._known: Dict[Obj, Tuple[int, int]] = {}
-        #: one undo frame per push level: (obj, previous entry or None)
-        self._trail: List[List[Tuple[Obj, Optional[Tuple[int, int]]]]] = [[]]
-        self._inconsistent_level: Optional[int] = None
-
-    def push(self) -> None:
-        self._trail.append([])
-
-    def pop(self) -> None:
-        if len(self._trail) == 1:
-            raise IndexError("pop without matching push")
-        for obj, previous in reversed(self._trail.pop()):
-            if previous is None:
-                del self._known[obj]
-            else:
-                self._known[obj] = previous
-        if (
-            self._inconsistent_level is not None
-            and self._inconsistent_level >= len(self._trail)
-        ):
-            self._inconsistent_level = None
+        self._inconsistent = False
 
     def assert_prop(self, prop: Prop) -> None:
-        if not isinstance(prop, Congruence) or self._inconsistent_level is not None:
+        if not isinstance(prop, Congruence) or self._inconsistent:
             return
         entry = (prop.modulus, prop.residue % prop.modulus)
         previous = self._known.get(prop.obj)
-        if previous is not None:
-            merged = merge_congruences(previous, entry)
-            if merged is None:
-                self._inconsistent_level = len(self._trail) - 1
-                return
-            if merged == previous:
-                return
-            entry = merged
-        self._trail[-1].append((prop.obj, previous))
-        self._known[prop.obj] = entry
+        merged = entry if previous is None else merge_congruences(previous, entry)
+        if merged is None:
+            self._inconsistent = True
+        else:
+            self._known[prop.obj] = merged
 
     def entails(self, goal: TheoryProp) -> bool:
         if not isinstance(goal, Congruence):
             return False
-        if self._inconsistent_level is not None:
+        if self._inconsistent:
             return True
         residue = self.theory._residue_of(goal.obj, goal.modulus, self._known)
         if residue is None:
@@ -179,7 +152,7 @@ class CongruenceContext(TheoryContext):
 
     def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
         """Every goal reads the same residue table — one pass, no setup."""
-        if self._inconsistent_level is not None:
+        if self._inconsistent:
             return [isinstance(goal, Congruence) for goal in goals]
         residue_of = self.theory._residue_of
         known = self._known

@@ -98,8 +98,8 @@ class LinArithContext(TheoryContext):
 
     Each asserted atom is translated to a solver constraint exactly
     once and kept in an :class:`IncrementalConstraintSet`; goals are
-    decided (and memoised) against the accumulated set, so a stable Γ
-    pays its translation once across all the goals it is consulted for.
+    decided against the accumulated set, so a stable Γ pays its
+    translation once across all the goals it is consulted for.
     """
 
     __slots__ = ("theory", "_set")
@@ -107,12 +107,6 @@ class LinArithContext(TheoryContext):
     def __init__(self, theory: LinearArithmeticTheory) -> None:
         self.theory = theory
         self._set = IncrementalConstraintSet(backend=theory.solver_backend)
-
-    def push(self) -> None:
-        self._set.push()
-
-    def pop(self) -> None:
-        self._set.pop()
 
     def bind_counters(self, shared: Optional[Dict[str, int]]) -> None:
         self._set.bind_counters(shared)

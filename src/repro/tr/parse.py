@@ -235,6 +235,7 @@ def parse_prop(sexp: SExp, tvars: FrozenSet[str] = frozenset()) -> Prop:
     if head == "odd" and len(sexp) == 2:
         return make_congruence(parse_obj(sexp[1], tvars), 2, 1)
     if head == "divisible" and len(sexp) == 3 and isinstance(sexp[2], int):
+        _check_modulus(sexp)
         return make_congruence(parse_obj(sexp[1], tvars), sexp[2], 0)
     if (
         head == "congruent"
@@ -242,8 +243,14 @@ def parse_prop(sexp: SExp, tvars: FrozenSet[str] = frozenset()) -> Prop:
         and isinstance(sexp[2], int)
         and isinstance(sexp[3], int)
     ):
+        _check_modulus(sexp)
         return make_congruence(parse_obj(sexp[1], tvars), sexp[2], sexp[3])
     raise TypeSyntaxError(f"bad proposition: {sexp!r}")
+
+
+def _check_modulus(sexp: list) -> None:
+    if sexp[2] <= 0:
+        raise TypeSyntaxError(f"modulus must be positive: {sexp!r}")
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.batch.pipeline import check_many
 from repro.checker.check import check_program_text
 from repro.checker.errors import CheckError
+from repro.logic.prove import Logic
 from repro.theories.congruence import CongruenceTheory, merge_congruences
 from repro.tr.objects import Var, lin_add, lin_scale, obj_int
 from repro.tr.props import Congruence, FF, TT, make_congruence
@@ -32,6 +34,13 @@ class TestMergeCongruences:
     def test_crt_shared_factor_inconsistent(self):
         # x ≡ 1 (mod 4) and x ≡ 0 (mod 6): 1 ≢ 0 (mod 2)
         assert merge_congruences((4, 1), (6, 0)) is None
+
+    def test_crt_huge_coprime_moduli(self):
+        # closed form: no stepping through a modulus above 10**12
+        m1, m2 = 10**12, 10**12 + 1
+        m, r = merge_congruences((m1, 3), (m2, 5))
+        assert m == m1 * m2
+        assert (r % m1, r % m2) == (3, 5)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 11), st.integers(1, 12), st.integers(0, 11))
@@ -183,3 +192,24 @@ class TestCheckerIntegration:
         check_program_text(src)
         _defs, results = run_program_text(src)
         assert results == (4, 8)
+
+
+class TestModulusSyntax:
+    @pytest.mark.parametrize(
+        "prop", ["(divisible r 0)", "(congruent r -2 1)", "(congruent r 0 0)"]
+    )
+    def test_non_positive_modulus_is_a_parse_error(self, prop, tmp_path):
+        bad = tmp_path / "bad.rtr"
+        bad.write_text(
+            f"(: f : Int -> [r : Int #:where {prop}])\n(define (f x) 0)\n"
+        )
+        good = tmp_path / "good.rtr"
+        good.write_text(
+            "(: double : Int -> [r : Int #:where (even r)])\n"
+            "(define (double x) (* 2 x))\n"
+        )
+        report = check_many([str(bad), str(good)], logic=Logic())
+        bad_verdict, good_verdict = report.verdicts
+        assert not bad_verdict.ok
+        assert "modulus must be positive" in bad_verdict.error
+        assert good_verdict.ok

@@ -125,6 +125,6 @@ def test_batch_context_flattens_assumptions_once():
     answers = context.entails_batch(goals)
     assert answers == [False] * len(goals)
     assert theory.batch_calls == 1  # one dispatch for the whole batch
-    # memo: a second batch issues no further theory work
+    # no memo below the session: a second batch is one more dispatch
     assert context.entails_batch(goals) == answers
-    assert theory.batch_calls == 1
+    assert theory.batch_calls == 2

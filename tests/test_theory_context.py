@@ -1,7 +1,7 @@
-"""The incremental theory-context API (push / assert_prop / pop).
+"""The append-only theory-context API (assert_prop / entails).
 
-Each theory's context must agree with its batch ``entails`` on every
-assumption set reachable through pushes and pops — the context is an
+Each theory's context must agree with its one-shot ``entails`` on every
+assumption list, contradictory ones included — the context is an
 optimisation, never a semantics change.  The tests drive each concrete
 context (linear arithmetic, bitvectors, congruence), the registry
 session that multiplexes them, and the incremental solver structures
@@ -9,6 +9,7 @@ underneath.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.solvers.linear import (
     SAT,
@@ -22,8 +23,15 @@ from repro.theories.bitvec import BitvectorTheory
 from repro.theories.congruence import CongruenceTheory
 from repro.theories.linarith import LinearArithmeticTheory
 from repro.theories.registry import default_registry
-from repro.tr.objects import BVExpr, Var, obj_int
-from repro.tr.props import BVProp, Congruence, lin_le, lin_lt
+from repro.tr.objects import BVExpr, Var, lin_add, lin_scale, obj_int
+from repro.tr.props import (
+    BVProp,
+    Congruence,
+    TheoryProp,
+    lin_le,
+    lin_lt,
+    make_congruence,
+)
 
 x = Var("x")
 y = Var("y")
@@ -43,32 +51,17 @@ class TestLinArithContext:
         goal = leq(x, obj_int(10))
         assert ctx.entails(goal) == theory.entails(facts, goal) == True
 
-    def test_push_pop_restores_answers(self):
-        ctx = LinearArithmeticTheory().context()
-        ctx.assert_prop(leq(x, obj_int(5)))
-        tight = leq(x, obj_int(3))
-        assert not ctx.entails(tight)
-        ctx.push()
-        ctx.assert_prop(leq(x, obj_int(2)))
-        assert ctx.entails(tight)
-        ctx.pop()
-        assert not ctx.entails(tight)
-
-    def test_contradiction_scoped_to_frame(self):
+    def test_contradiction_latches(self):
         ctx = LinearArithmeticTheory().context()
         ctx.assert_prop(leq(obj_int(0), x))
         assert not ctx.is_unsat()
-        ctx.push()
+        assert not ctx.entails(leq(obj_int(99), x))
         ctx.assert_prop(lin_lt(x, obj_int(0)))
         assert ctx.is_unsat()
         assert ctx.entails(leq(obj_int(99), x))  # ex falso
-        ctx.pop()
-        assert not ctx.is_unsat()
-        assert not ctx.entails(leq(obj_int(99), x))
-
-    def test_pop_without_push_raises(self):
-        with pytest.raises(IndexError):
-            LinearArithmeticTheory().context().pop()
+        ctx.assert_prop(leq(x, obj_int(5)))  # later facts cannot undo it
+        assert ctx.is_unsat()
+        assert ctx.entails(leq(obj_int(99), x))
 
 
 class TestCongruenceContext:
@@ -81,25 +74,27 @@ class TestCongruenceContext:
         assert ctx.entails(goal) == theory.entails([fact], goal) == True
         assert not ctx.entails(Congruence(x, 2, 1))
 
-    def test_crt_merge_and_pop(self):
+    def test_crt_merge(self):
         ctx = CongruenceTheory().context()
         ctx.assert_prop(Congruence(x, 2, 0))
-        ctx.push()
+        assert not ctx.entails(Congruence(x, 6, 4))
         ctx.assert_prop(Congruence(x, 3, 1))
         # x ≡ 0 (mod 2) ∧ x ≡ 1 (mod 3)  ⟹  x ≡ 4 (mod 6)
         assert ctx.entails(Congruence(x, 6, 4))
-        ctx.pop()
-        assert not ctx.entails(Congruence(x, 6, 4))
         assert ctx.entails(Congruence(x, 2, 0))
+        assert not ctx.entails(Congruence(x, 6, 2))
 
-    def test_inconsistency_latched_and_released(self):
+    def test_inconsistency_latches(self):
         ctx = CongruenceTheory().context()
         ctx.assert_prop(Congruence(x, 2, 0))
-        ctx.push()
+        assert not ctx.entails(Congruence(y, 5, 3))
         ctx.assert_prop(Congruence(x, 2, 1))  # contradicts
         assert ctx.entails(Congruence(y, 5, 3))  # ex falso
-        ctx.pop()
-        assert not ctx.entails(Congruence(y, 5, 3))
+        ctx.assert_prop(Congruence(x, 4, 0))  # later facts cannot undo it
+        assert ctx.entails_batch([Congruence(y, 5, 3), leq(x, obj_int(0))]) == [
+            True,
+            False,
+        ]
 
 
 class TestBitvectorContext:
@@ -116,17 +111,23 @@ class TestBitvectorContext:
         assert ctx.entails(goal) == theory.entails(facts, goal) == True
 
     def test_goal_memoised_and_invalidated(self):
+        """The encoding built by a query is reused by the next one, and
+        an assert after a query drops it, so the answer can change."""
         ctx = BitvectorTheory().context()
         for fact in self._byte_facts(x):
             ctx.assert_prop(fact)
-        goal = BVProp("≤", x, obj_int(255), 8)
-        assert ctx.entails(goal)
-        assert ctx.entails(goal)  # memo hit
-        ctx.push()
+        tight = BVProp("≤", x, obj_int(10), 8)
+        assert ctx.entails(BVProp("≤", x, obj_int(255), 8))
+        encoded = ctx._encoded
+        assert not ctx.entails(tight)
+        assert ctx._encoded is encoded
         ctx.assert_prop(leq(x, obj_int(10)))
-        assert ctx.entails(BVProp("≤", x, obj_int(10), 8))
-        ctx.pop()
-        assert not ctx.entails(BVProp("≤", x, obj_int(10), 8))
+        assert ctx._encoded is None
+        assert ctx.entails(tight)
+        assert ctx.entails_batch([tight, BVProp("≤", x, obj_int(9), 8)]) == [
+            True,
+            False,
+        ]
 
     def test_ungroundable_goal_declined(self):
         ctx = BitvectorTheory().context()
@@ -187,15 +188,13 @@ class TestIncrementalConstraintSet:
         goal = Constraint.make({"x": 1}, -10)
         assert cs.entails(goal) == fm_entails([con], goal)
 
-    def test_push_pop_and_satisfiable(self):
+    def test_contradicting_add_flips_satisfiable(self):
         cs = IncrementalConstraintSet()
         cs.add(Constraint.make({"x": -1}, 0))  # 0 ≤ x
         assert cs.satisfiable() == SAT
-        cs.push()
         cs.add(Constraint.make({"x": 1}, 1))  # x ≤ -1
         assert cs.satisfiable() == UNSAT
-        cs.pop()
-        assert cs.satisfiable() == SAT
+        assert cs.entails(Constraint.make({"x": -1}, 99))  # ex falso
 
 
 class TestIncrementalSatSolver:
@@ -217,3 +216,90 @@ class TestIncrementalSatSolver:
         solver.push()
         solver.pop()
         assert solver.check_sat()
+
+
+# ----------------------------------------------------------------------
+# every context answers exactly as its theory's one-shot entails
+# ----------------------------------------------------------------------
+_small = st.integers(-4, 4)
+_var = st.sampled_from([x, y])
+
+
+def _linear(draw_coeffs):
+    a, b, c = draw_coeffs
+    return lin_add(lin_add(lin_scale(a, x), lin_scale(b, y)), obj_int(c))
+
+
+_linear_objs = st.tuples(_small, _small, _small).map(_linear)
+_leq_atoms = st.builds(lin_le, _linear_objs, st.just(obj_int(0)))
+_congruence_atoms = st.builds(
+    make_congruence,
+    # shared atoms make conflicting residues (and CRT merges) common
+    st.one_of(st.sampled_from([x, y, lin_add(x, y)]), _linear_objs),
+    st.integers(1, 6),
+    st.integers(0, 5),
+)
+# bitvector atoms stay within 4 bits so a 7-bit blast grounds them
+_nibble = st.integers(0, 15)
+_nibble_bounds = st.builds(
+    lambda var, hi: [leq(obj_int(0), var), leq(var, obj_int(hi))], _var, _nibble
+)
+_bv_operands = st.one_of(
+    _var,
+    st.builds(lambda v, k: BVExpr("and", (v, k), 8), _var, _nibble),
+    st.builds(lambda v, k: BVExpr("or", (v, k), 8), _var, _nibble),
+    st.builds(lambda a, b: BVExpr("xor", (a, b), 8), _var, _var),
+)
+_bv_atoms = st.builds(
+    BVProp,
+    st.sampled_from(["=", "≠", "≤", "<"]),
+    _bv_operands,
+    _nibble.map(obj_int),
+    st.just(8),
+)
+
+_CASES = {
+    "linear-arithmetic": (
+        LinearArithmeticTheory,
+        st.lists(_leq_atoms, max_size=6),
+        st.lists(_leq_atoms, min_size=1, max_size=4),
+    ),
+    "congruence": (
+        CongruenceTheory,
+        st.lists(_congruence_atoms, max_size=6),
+        st.lists(_congruence_atoms, min_size=1, max_size=4),
+    ),
+    "bitvectors": (
+        # the default 24-bit blast makes the one-shot reference (and
+        # the legacy DPLL core) slow; 7 bits hold every groundable term
+        lambda: BitvectorTheory(width=7),
+        st.tuples(
+            st.lists(_nibble_bounds, max_size=2),
+            st.lists(st.one_of(_bv_atoms, _leq_atoms), max_size=3),
+        ).map(lambda parts: [a for pair in parts[0] for a in pair] + parts[1]),
+        st.lists(st.one_of(_bv_atoms, _leq_atoms), min_size=1, max_size=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_context_answers_as_one_shot_entails(name):
+    make_theory, assumption_lists, goal_lists = _CASES[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(assumption_lists, goal_lists)
+    def check(assumptions, goals):
+        theory = make_theory()
+        assumptions = [p for p in assumptions if isinstance(p, TheoryProp)]
+        goals = [g for g in goals if isinstance(g, TheoryProp)]
+        expected = [theory.entails(assumptions, goal) for goal in goals]
+        ctx = theory.context()
+        for prop in assumptions:
+            ctx.assert_prop(prop)
+        assert [ctx.entails(goal) for goal in goals] == expected
+        batch_ctx = theory.context()
+        for prop in assumptions:
+            batch_ctx.assert_prop(prop)
+        assert batch_ctx.entails_batch(goals) == expected
+
+    check()
