@@ -7,7 +7,9 @@ ours are dual simplex / CDCL with Fourier-Motzkin / DPLL as the
 it times both backends on the same checker-shaped workloads, writes
 ``benchmark-results/run/solver_cores.json``, and gates the ratios (the
 stress shapes are where the incremental cores earn their keep; the
-tier-1 micro shape is where they must at least break even).
+tier-1 micro shape is where they must at least break even).  The
+artifact also records, ungated, the clause count and time of the
+linear goal that falls through to bit-blasting.
 """
 
 import json
@@ -25,7 +27,7 @@ from repro.solvers.linear import (
     fm_satisfiable,
 )
 from repro.solvers.sat import IncrementalSatSolver, solve
-from repro.theories.bitvec import BitvectorTheory
+from repro.theories.bitvec import DEFAULT_WIDTH, BitvectorTheory
 from repro.tr.objects import BVExpr, Var, obj_int
 from repro.tr.props import BVProp, lin_le
 
@@ -196,6 +198,28 @@ def _time_warm(backend, rounds=50):
     return elapsed / (rounds * len(goals))
 
 
+def _time_fallthrough(backend, repeats=30):
+    """The linear goal linarith leaves to bit-blasting, end to end.
+
+    Γ = ``0 ≤ L ≤ 0`` with goal ``1 ≤ L`` through a fresh
+    ``BitvectorContext`` at the default width — the only shape of the
+    generated corpus that reaches the SAT core.  Returns the best time
+    of one query and the clause count of Γ's encoding.
+    """
+    theory = BitvectorTheory(backend=backend)
+    length = Var("L")
+    best, clauses = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        context = theory.context()
+        context.assert_prop(lin_le(obj_int(0), length))
+        context.assert_prop(lin_le(length, obj_int(0)))
+        assert context.entails(lin_le(obj_int(1), length)) is False
+        best = min(best, time.perf_counter() - start)
+        clauses = len(context._encoded[0].clauses)
+    return best, clauses
+
+
 def test_bench_solver_cores_artifact(capsys):
     assumptions, stream = _checker_stress()
 
@@ -217,6 +241,9 @@ def test_bench_solver_cores_artifact(capsys):
 
     warm_fast = _time_warm("fast")
     warm_legacy = _time_warm("legacy")
+
+    fall_fast, fall_clauses = _time_fallthrough("fast")
+    fall_legacy, _ = _time_fallthrough("legacy")
 
     results = {
         "cpu_count": os.cpu_count() or 1,
@@ -244,6 +271,12 @@ def test_bench_solver_cores_artifact(capsys):
             "fast_us_per_goal": round(warm_fast * 1e6, 3),
             "legacy_us_per_goal": round(warm_legacy * 1e6, 3),
         },
+        "bitvec_linear_fallthrough": {
+            "width": DEFAULT_WIDTH,
+            "clauses": fall_clauses,
+            "fast_us_per_query": round(fall_fast * 1e6, 2),
+            "legacy_us_per_query": round(fall_legacy * 1e6, 2),
+        },
     }
     write_run_artifact("solver_cores.json", results)
 
@@ -254,7 +287,9 @@ def test_bench_solver_cores_artifact(capsys):
             f"sat-300 {sat_ratio:4.2f}x | "
             f"micro fast {micro_fast * 1e6:6.1f}us vs "
             f"legacy {micro_legacy * 1e6:6.1f}us | "
-            f"warm {warm_fast * 1e6:5.2f}us/goal"
+            f"warm {warm_fast * 1e6:5.2f}us/goal | "
+            f"bv fall-through {fall_clauses} clauses "
+            f"{fall_fast * 1e6:7.1f}us"
         )
 
     # Hardware-tolerant gates: the stress ratios are backend-vs-backend

@@ -2,10 +2,19 @@
 
 The bitvector theory (section 2.2 of the paper) is decided by lowering
 every term to a vector of propositional literals (LSB first) with
-Tseitin-encoded gates, then refuting with the DPLL solver in
-:mod:`repro.solvers.sat`.
+Tseitin-encoded gates, then refuting with the SAT core the
+``solver_backend`` choice selects in :mod:`repro.solvers.sat` (CDCL
+under ``fast``, DPLL under ``legacy``).
 
-The :class:`BitBlaster` hands out fresh variables, caches term
+Every gate folds constants before it encodes anything: a constant
+input, a repeated input or an input beside its own complement decides
+the output from literals that already exist, and no variable or clause
+is added.  So a constant multiplier costs one adder per set bit, and
+adding or comparing against a constant shrinks the same way.  There is
+no structural hashing: a gate built twice is encoded twice, which keeps
+every clause's lifetime tied to the encoding that added it.
+
+The :class:`BitBlaster` hands out fresh variables, caches variable
 encodings, and offers the operations the AES ``xtime`` example and the
 enriched primitive environment need: bitwise logic, addition,
 multiplication, constant shifts, and unsigned comparisons.
@@ -65,19 +74,49 @@ class BitBlaster:
         return bits
 
     # ------------------------------------------------------------------
-    # gates (Tseitin encodings)
+    # gates (Tseitin encodings, constant-folded)
     # ------------------------------------------------------------------
+    # A folded gate returns a literal that already exists, so truncating
+    # ``clauses`` after a speculative encoding never strands its result.
+
     def gate_and(self, a: int, b: int) -> int:
+        true = self._true_lit
+        if a == -true or b == -true or a == -b:
+            return -true
+        if a == true or a == b:
+            return b
+        if b == true:
+            return a
         c = self.fresh()
         self.clauses += [[-c, a], [-c, b], [c, -a, -b]]
         return c
 
     def gate_or(self, a: int, b: int) -> int:
+        true = self._true_lit
+        if a == true or b == true or a == -b:
+            return true
+        if a == -true or a == b:
+            return b
+        if b == -true:
+            return a
         c = self.fresh()
         self.clauses += [[c, -a], [c, -b], [-c, a, b]]
         return c
 
     def gate_xor(self, a: int, b: int) -> int:
+        true = self._true_lit
+        if a == -true:
+            return b
+        if b == -true:
+            return a
+        if a == true:
+            return -b
+        if b == true:
+            return -a
+        if a == b:
+            return -true
+        if a == -b:
+            return true
         c = self.fresh()
         self.clauses += [[-c, a, b], [-c, -a, -b], [c, -a, b], [c, a, -b]]
         return c
@@ -86,6 +125,17 @@ class BitBlaster:
         return -self.gate_xor(a, b)
 
     def gate_majority(self, a: int, b: int, c: int) -> int:
+        true = self._true_lit
+        for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+            if x == -true:
+                return self.gate_and(y, z)
+            if x == true:
+                return self.gate_or(y, z)
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            if x == y:
+                return x
+            if x == -y:
+                return z
         out = self.fresh()
         self.clauses += [
             [-out, a, b],
@@ -136,10 +186,16 @@ class BitBlaster:
         )
 
     def bv_mul(self, a: Bits, b: Bits) -> Bits:
-        """Shift-and-add multiplication (mod 2^w)."""
+        """Shift-and-add multiplication (mod 2^w).
+
+        A multiplier bit known to be 0 adds no partial product, so a
+        constant multiplier costs one adder per set bit.
+        """
         width = len(a)
         acc = self.constant(0, width)
         for i in range(width):
+            if b[i] == self.false_lit:
+                continue
             shifted = self.bv_shl(a, i)
             gated = tuple(self.gate_and(bit, b[i]) for bit in shifted)
             acc = self.bv_add(acc, gated)

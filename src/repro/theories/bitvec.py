@@ -1,8 +1,10 @@
 """The theory of fixed-width bitvectors (section 2.2).
 
 Where the paper leverages Z3's bitvector reasoning, this reproduction
-bit-blasts to CNF (:mod:`repro.solvers.bitblast`) and refutes with a
-DPLL SAT solver — the same refutation discipline an SMT backend uses.
+bit-blasts to CNF (:mod:`repro.solvers.bitblast`, whose gates fold
+constant and repeated inputs away) and refutes with the SAT core the
+``solver_backend`` choice selects (CDCL under ``fast``, DPLL under
+``legacy``) — the same refutation discipline an SMT backend uses.
 
 Semantics bridged here: at the program level bitvector operations act
 on ordinary non-negative integers (``AND``/``XOR``/``*`` on bytes in

@@ -1,8 +1,15 @@
 """Tests for bit-blasting: encoded operations match Python semantics."""
 
+import itertools
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.solvers.bitblast import BitBlaster
+from repro.solvers.sat import solve
+from repro.theories.bitvec import DEFAULT_WIDTH, BitvectorTheory
+from repro.tr.objects import Var, obj_int
+from repro.tr.props import lin_le
 
 WIDTH = 8
 _bytes = st.integers(0, 255)
@@ -115,3 +122,124 @@ def test_xtime_invariant_via_blasting():
     over = blaster.bv_ult(blaster.constant(255, width), xored)
     blaster.assert_lit(over)  # claim: result can exceed 255
     assert not blaster.check_sat()  # refuted
+
+
+# ----------------------------------------------------------------------
+# constant folding
+# ----------------------------------------------------------------------
+
+
+def test_multiply_by_one_is_the_multiplicand():
+    blaster = BitBlaster()
+    x = blaster.variable("x", DEFAULT_WIDTH)
+    before = len(blaster.clauses)
+    assert blaster.bv_mul(x, blaster.constant(1, DEFAULT_WIDTH)) == x
+    assert len(blaster.clauses) == before
+
+
+def test_adding_zero_is_the_addend():
+    blaster = BitBlaster()
+    x = blaster.variable("x", WIDTH)
+    before = len(blaster.clauses)
+    assert blaster.bv_add(x, blaster.constant(0, WIDTH)) == x
+    assert blaster.bv_add(blaster.constant(0, WIDTH), x) == x
+    assert len(blaster.clauses) == before
+
+
+@pytest.mark.parametrize("backend", ["fast", "legacy"])
+def test_empty_length_query_blasts_small(backend):
+    """Γ = 0 ≤ L ≤ 0 does not entail 1 ≤ L, at the production width.
+
+    The linear fall-through shape of the generated corpus: unfolded
+    gates blasted this Γ into 21,196 clauses.
+    """
+    length = Var("L")
+    context = BitvectorTheory(backend=backend).context()
+    context.assert_prop(lin_le(obj_int(0), length))
+    context.assert_prop(lin_le(length, obj_int(0)))
+    assert context.entails(lin_le(obj_int(1), length)) is False
+    assert context.entails(lin_le(length, obj_int(0))) is True
+    blaster = context._encoded[0]  # Γ only: goal clauses were retracted
+    assert len(blaster.clauses) < 1000
+
+
+_N_VARS = 4
+
+
+def _gate_trees():
+    """Gate trees over variables, constants, repeated and complemented
+    inputs, as nested tuples."""
+    leaves = st.one_of(
+        st.builds(lambda i: ("var", i), st.integers(0, _N_VARS - 1)),
+        st.builds(lambda v: ("const", v), st.booleans()),
+    )
+
+    binary = st.sampled_from(["and", "or", "xor", "iff"])
+    any_gate = st.sampled_from(["and", "or", "xor", "iff", "maj"])
+
+    def grow(children):
+        return st.one_of(
+            st.tuples(st.just("not"), children),
+            st.tuples(binary, children, children),
+            st.tuples(st.just("maj"), children, children, children),
+            # the same literal twice, or next to its complement
+            st.tuples(st.just("same"), any_gate, children, children),
+            st.tuples(st.just("opposite"), any_gate, children, children),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=12)
+
+
+_GATES = {
+    "and": (BitBlaster.gate_and, lambda a, b: a and b),
+    "or": (BitBlaster.gate_or, lambda a, b: a or b),
+    "xor": (BitBlaster.gate_xor, lambda a, b: a != b),
+    "iff": (BitBlaster.gate_iff, lambda a, b: a == b),
+}
+
+
+def _build(blaster, names, tree, env):
+    """Encode ``tree``; return (literal, value under ``env``)."""
+    kind = tree[0]
+    if kind == "var":
+        return names[tree[1]], env[tree[1]]
+    if kind == "const":
+        return (blaster.true_lit if tree[1] else blaster.false_lit), tree[1]
+    if kind == "not":
+        lit, value = _build(blaster, names, tree[1], env)
+        return -lit, not value
+    if kind in _GATES:
+        gate, semantics = _GATES[kind]
+        (a, av), (b, bv) = (_build(blaster, names, t, env) for t in tree[1:])
+        return gate(blaster, a, b), semantics(av, bv)
+    if kind == "maj":
+        built = [_build(blaster, names, t, env) for t in tree[1:]]
+        lits = [lit for lit, _ in built]
+        return blaster.gate_majority(*lits), sum(v for _, v in built) >= 2
+    # "same" / "opposite": op(t, t) or op(t, ¬t), with u as maj's third input
+    op, t, u = tree[1:]
+    a, av = _build(blaster, names, t, env)
+    b, bv = (a, av) if kind == "same" else (-a, not av)
+    if op == "maj":
+        c, cv = _build(blaster, names, u, env)
+        return blaster.gate_majority(a, b, c), av + bv + cv >= 2
+    gate, semantics = _GATES[op]
+    return gate(blaster, a, b), semantics(av, bv)
+
+
+@pytest.mark.parametrize("backend", ["fast", "legacy"])
+def test_folded_gates_force_the_python_value(backend):
+    @settings(max_examples=60, deadline=None)
+    @given(_gate_trees())
+    def check(tree):
+        for values in itertools.product([False, True], repeat=_N_VARS):
+            blaster = BitBlaster()
+            names = [blaster.fresh() for _ in range(_N_VARS)]
+            out, expected = _build(blaster, names, tree, values)
+            units = [[n if v else -n] for n, v in zip(names, values)]
+            forced = out if expected else -out
+            base = blaster.clauses + units
+            assert solve(base + [[forced]], backend=backend).sat
+            assert not solve(base + [[-forced]], backend=backend).sat
+
+    check()

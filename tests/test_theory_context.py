@@ -270,9 +270,7 @@ _CASES = {
         st.lists(_congruence_atoms, min_size=1, max_size=4),
     ),
     "bitvectors": (
-        # the default 24-bit blast makes the one-shot reference (and
-        # the legacy DPLL core) slow; 7 bits hold every groundable term
-        lambda: BitvectorTheory(width=7),
+        BitvectorTheory,
         st.tuples(
             st.lists(_nibble_bounds, max_size=2),
             st.lists(st.one_of(_bv_atoms, _leq_atoms), max_size=3),
