@@ -110,7 +110,6 @@ from .errors import ArityError, CheckError, UnboundVariable, UnsupportedFeature
 from .infer import candidate_signatures, instantiate_poly
 from .mutation import mutated_variables
 from .prims import prim_type
-from ..tr.parse import NAT
 from ..tr.pretty import pretty_result, pretty_type
 
 __all__ = ["Checker", "check_program_text", "shared_logic"]
@@ -140,9 +139,14 @@ class Checker:
         #: whole process): environments, proof caches and theory
         #: sessions persist across every judgment the checker consults.
         self.logic = logic if logic is not None else shared_logic()
-        #: section 4.4's inference heuristic; off reverts to plain Int.
+        #: section 4.4's inference heuristic; off, un-annotated loop
+        #: parameters are tried only at Int (annotations still count).
         self.nat_heuristic = nat_heuristic
         self._mutated: frozenset = frozenset()
+        #: inside a §4.4 probe (a loop candidate that is not the last):
+        #: check_expr tries an `if`'s cheap else-branch first, since a
+        #: probe's failure is thrown away and only its verdict counts.
+        self._refute_first = False
         #: declared types of mutable bindings — set! must preserve them
         #: (including refinements, which would otherwise be unpacked
         #: into the environment and lost).
@@ -515,20 +519,35 @@ class Checker:
         return body
 
     def _infer_loop_signature(self, env: Env, name: str, lam: LamE) -> Fun:
-        """Try candidate domains/ranges for an unannotated loop λ (§4.4)."""
+        """Try candidate domains/ranges for an unannotated loop λ (§4.4).
+
+        The candidates are tried in :func:`candidate_signatures`' order
+        and the first that checks wins.  Every candidate but the last is
+        a *probe*, checked refutation-first: an `if` whose else-branch
+        is cheap (typically the loop's exit, ``acc`` or ``(void)``)
+        checks that branch before its recursive branch, so a wrong
+        range fails before the index proofs are paid for.  A candidate
+        passes only when every live branch does, in either order, so
+        the winner is the same.  The last candidate keeps the normal
+        order: its error is the one reported when no candidate checks.
+        """
+        candidates = list(candidate_signatures(lam, self.nat_heuristic))
         last_error: Optional[CheckError] = None
-        for domains, rng in candidate_signatures(lam):
-            if not self.nat_heuristic and any(d == NAT for d in domains):
-                continue
-            candidate = Fun(
-                tuple(zip(lam.param_names(), domains)), result_of_type(rng)
-            )
-            trial_env = self.logic.extend(env, IsType(Var(name), candidate))
-            try:
-                self.check_against(trial_env, lam, candidate)
-                return candidate
-            except CheckError as exc:
-                last_error = exc
+        outer = self._refute_first
+        try:
+            for index, (domains, rng) in enumerate(candidates):
+                candidate = Fun(
+                    tuple(zip(lam.param_names(), domains)), result_of_type(rng)
+                )
+                trial_env = self.logic.extend(env, IsType(Var(name), candidate))
+                self._refute_first = outer or index < len(candidates) - 1
+                try:
+                    self.check_against(trial_env, lam, candidate)
+                    return candidate
+                except CheckError as exc:
+                    last_error = exc
+        finally:
+            self._refute_first = outer
         raise CheckError(
             f"could not infer a type for the loop function {name!r}"
             + (f"\nlast attempt failed with:\n{last_error}" if last_error else ""),
@@ -686,10 +705,12 @@ class Checker:
             env, _ = self._open(env, test)
             then_env = self.logic.extend(env, test.then_prop)
             else_env = self.logic.extend(env, test.else_prop)
-            if not self.logic.proves(then_env, FF):
-                self.check_expr(then_env, expr.then, expected)
-            if not self.logic.proves(else_env, FF):
-                self.check_expr(else_env, expr.els, expected)
+            branches = ((then_env, expr.then), (else_env, expr.els))
+            if self._refute_first and _cheap(expr.els) and not _cheap(expr.then):
+                branches = branches[::-1]
+            for branch_env, branch in branches:
+                if not self.logic.proves(branch_env, FF):
+                    self.check_expr(branch_env, branch, expected)
             return
         if isinstance(expr, AnnE) and not isinstance(expr.expr, LamE):
             result = self.synth(env, expr)
@@ -723,6 +744,18 @@ class Checker:
         for name, ty in result.binders:
             env = self.logic.extend(env, IsType(Var(name), ty))
         return env, result.binders
+
+
+_ATOMS = (VarE, IntE, BoolE, StrE)
+
+
+def _cheap(expr: Expr) -> bool:
+    """A variable, a literal, or a primitive applied only to those."""
+    if isinstance(expr, AppE):
+        return isinstance(expr.fn, PrimE) and all(
+            isinstance(arg, _ATOMS) for arg in expr.args
+        )
+    return isinstance(expr, _ATOMS)
 
 
 def _pair_component(ty: Type, field: str) -> Optional[Type]:

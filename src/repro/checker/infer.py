@@ -19,6 +19,16 @@ Two inference problems arise when scaling λRTR to real programs:
    instead of ``Int``; if the heuristic signature fails, plain ``Int``
    is retried.  (The paper notes — and our benches reproduce — that
    this fails for reverse iteration.)
+
+   ``Checker._infer_loop_signature`` keeps the first candidate that
+   checks.  Every candidate but the last is a *probe*: its failure is
+   thrown away, so it is checked refutation-first — an `if` whose
+   else-branch is cheap (the loop's exit: ``acc``, ``res``,
+   ``(void)``) checks that branch before the recursive one, and a
+   wrong range fails before the index proofs are paid for.  The
+   winner is the same in either order.  The last candidate is checked
+   in program order, so the "last attempt failed with" error the user
+   sees is unchanged.
 """
 
 from __future__ import annotations
@@ -246,15 +256,19 @@ def index_flow_vars(body: Expr) -> FrozenSet[str]:
     return frozenset(flowing)
 
 
-def candidate_signatures(lam: LamE) -> Iterator[Tuple[Tuple[Type, ...], Type]]:
+def candidate_signatures(
+    lam: LamE, nat_heuristic: bool = True
+) -> Iterator[Tuple[Tuple[Type, ...], Type]]:
     """Candidate (domains, range) signatures for an unannotated loop λ.
 
     Explicit parameter annotations are always respected.  For the rest,
     the first candidate applies the Nat heuristic to index-flowing
     parameters; later candidates fall back to ``Int`` everywhere, and a
-    few alternative ranges cover non-numeric accumulators.
+    few alternative ranges cover non-numeric accumulators.  With
+    ``nat_heuristic`` off (the §4.4 ablation) only the ``Int``
+    fallbacks remain; a ``Nat`` the programmer wrote stays.
     """
-    flowing = index_flow_vars(lam.body)
+    flowing = index_flow_vars(lam.body) if nat_heuristic else frozenset()
 
     def domains(use_heuristic: bool) -> Tuple[Type, ...]:
         out: List[Type] = []

@@ -53,6 +53,19 @@ class TestNatHeuristic:
             FORWARD_SAFE.replace("safe-vec-ref", "vec-ref"), nat_heuristic=False
         )
 
+    def test_heuristic_off_keeps_an_annotated_nat_domain(self):
+        # the ablation drops only the Nats the heuristic would introduce
+        source = """
+        (: nl : (Vecof Int) -> Int)
+        (define (nl ds)
+          (let loop ([i : Nat (len ds)] [res : Int 1])
+            (cond
+              [(zero? i) res]
+              [else (loop (- i 1) (* res (vec-ref ds (- i 1))))])))
+        """
+        assert checks(source)
+        assert checks(source, nat_heuristic=False)
+
 
 class TestForForms:
     def test_for_sum_with_bounds(self):
