@@ -160,16 +160,22 @@ def _time_sat(backend, cnf, repeats=3):
     return verdict, best
 
 
-def _time_micro(backend, repeats=200):
+def _time_micro(repeats=200):
+    """Best time of the 8-variable index query, per backend.
+
+    The backends take turns round by round, so a change in machine
+    speed during the loop lands on both of them alike.
+    """
     assumptions, goal = _index_query(8)
-    best = float("inf")
+    best = {"fast": float("inf"), "legacy": float("inf")}
     for _ in range(repeats):
-        start = time.perf_counter()
-        ics = IncrementalConstraintSet(backend=backend)
-        for con in assumptions:
-            ics.add(con)
-        assert ics.entails(goal) is True
-        best = min(best, time.perf_counter() - start)
+        for backend in best:
+            start = time.perf_counter()
+            ics = IncrementalConstraintSet(backend=backend)
+            for con in assumptions:
+                ics.add(con)
+            assert ics.entails(goal) is True
+            best[backend] = min(best[backend], time.perf_counter() - start)
     return best
 
 
@@ -236,8 +242,8 @@ def test_bench_solver_cores_artifact(capsys):
     assert sat_fast == sat_legacy
     sat_ratio = sat_legacy_s / sat_fast_s
 
-    micro_fast = _time_micro("fast")
-    micro_legacy = _time_micro("legacy")
+    micro = _time_micro()
+    micro_fast, micro_legacy = micro["fast"], micro["legacy"]
 
     warm_fast = _time_warm("fast")
     warm_legacy = _time_warm("legacy")

@@ -75,7 +75,7 @@ def truncate_meta(cache_dir: str) -> str:
 class ChaosDispatch:
     """A dispatch wrapper that stalls or hangs chosen consultations.
 
-    ``delay_seconds`` sleeps before delegating (a slow theory batch);
+    ``delay_seconds`` sleeps before delegating (a slow theory goal);
     ``hang=True`` never delegates and instead spins cooperatively —
     polling the active request budget exactly the way the kernel's own
     hot loops do — so a deadline or watchdog cancellation is the *only*
@@ -127,10 +127,6 @@ class ChaosDispatch:
                 budget = current_budget()
                 if budget is not None:
                     budget.check()
-
-    def decide(self, env, goals):
-        self._maybe_fault()
-        return self.inner.decide(env, goals)
 
     def decide_one(self, env, goal):
         self._maybe_fault()

@@ -102,8 +102,8 @@ from ..tr.types import (
     Refine,
     TrueT,
     Type,
-    Union,
     Vec,
+    field_component,
     make_union,
 )
 from .errors import ArityError, CheckError, UnboundVariable, UnsupportedFeature
@@ -580,13 +580,13 @@ class Checker:
     def _synth_field(self, env: Env, pair_expr: Expr, field: str, expr: Expr) -> TypeResult:
         result = self.synth(env, pair_expr)
         env, binders = self._open(env, result)
-        component = _pair_component(result.type, field)
+        component = field_component(result.type, field)
         if component is None:
             # Perhaps the environment knows more than the raw type.
             if not result.obj.is_null():
                 known = self.logic._lookup(env, result.obj, 0)
                 if known is not None:
-                    component = _pair_component(known, field)
+                    component = field_component(known, field)
         if component is None:
             raise CheckError(
                 f"{field} of a non-pair: {result.type!r}", expr
@@ -756,18 +756,6 @@ def _cheap(expr: Expr) -> bool:
             isinstance(arg, _ATOMS) for arg in expr.args
         )
     return isinstance(expr, _ATOMS)
-
-
-def _pair_component(ty: Type, field: str) -> Optional[Type]:
-    while isinstance(ty, Refine):
-        ty = ty.base
-    if isinstance(ty, Pair):
-        return ty.fst if field == FST else ty.snd
-    if isinstance(ty, Union) and ty.members:
-        parts = [_pair_component(m, field) for m in ty.members]
-        if all(p is not None for p in parts):
-            return make_union(parts)  # type: ignore[arg-type]
-    return None
 
 
 def check_program_text(source: str, **kwargs) -> Dict[str, Type]:

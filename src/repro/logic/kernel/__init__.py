@@ -13,9 +13,9 @@ decomposed into three explicit stages, each its own module:
    Replaces the unbounded ``_assimilate``/``_learn_*`` recursion (and
    its threaded ``depth`` parameter) with an explicit queue plus a step
    budget, so arbitrarily deep programs cannot blow the Python stack.
-3. :mod:`~repro.logic.kernel.dispatch` — **theory dispatch**: goal
-   atoms are batched per theory session and answered with one
-   ``entails_batch`` call instead of N single-goal round-trips.
+3. :mod:`~repro.logic.kernel.dispatch` — **theory dispatch**: each
+   theory atom the prover reaches is answered by one ``entails`` call
+   on the environment's theory session (the L-Theory rule).
 
 :mod:`~repro.logic.kernel.prover` evaluates the proof judgment Γ ⊢ ψ
 itself iteratively (an explicit and/or frame stack over the goal's

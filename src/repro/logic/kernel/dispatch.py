@@ -1,26 +1,19 @@
-"""Stage 3 — theory dispatch: batched L-Theory consultations.
+"""Stage 3 — theory dispatch: the L-Theory consultation.
 
-The recursive engine asked the environment's theory session one goal
-at a time; every atom paid a full session round-trip (memo probe, per-
-theory ``accepts`` filtering, context dispatch).  The kernel instead
-gathers the theory atoms of each *conjunction* frame — where every
-atom must hold, so all will be consulted anyway — and answers them
-with **one** :meth:`RegistrySession.entails_batch` call: the
-assumption translation (already incremental per session) is shared,
-and per-goal overhead collapses into a single dispatch per theory.
-Disjunction frames stay lazy, preserving short-circuit evaluation.
+The paper's L-Theory rule (§3.4) asks one question: does ``[[Γ]]_T``
+entail the theory atom χ?  The prover hands every theory atom here as
+it reaches it, and :meth:`TheoryDispatch.decide_one` answers it with
+one :meth:`~repro.theories.registry.RegistrySession.entails` call on
+the environment's theory session.  Atoms are never solved ahead of the
+frame machine, so a conjunction that fails on an earlier conjunct
+costs no solver work for the later ones.
 
-Correctness: ``entails_batch`` is answer-equivalent to per-goal
-``entails`` (both share the session memo), so batching can never
-change a verdict — it only changes how many times the session is
-crossed.  :class:`~repro.logic.prove.EngineStats` gains a
-``theory_batches`` counter so the --stats table shows how many
-round-trips the batching saved.
+The dispatch object is also the engine's fault-injection seam: the
+chaos harness and the server tests wrap it to delay, hang or kill a
+lane at the first theory consultation.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Sequence
 
 from ...tr.props import TheoryProp
 from ..env import Env
@@ -29,45 +22,21 @@ __all__ = ["TheoryDispatch"]
 
 
 class TheoryDispatch:
-    """Batches goal atoms per environment session."""
+    """Answers theory goals against the environment's session."""
 
     __slots__ = ("logic",)
 
     def __init__(self, logic) -> None:
         self.logic = logic
 
-    def decide(
-        self, env: Env, goals: Sequence[TheoryProp]
-    ) -> Dict[TheoryProp, bool]:
-        """Answer every goal with one session batch call."""
+    def decide_one(self, env: Env, goal: TheoryProp) -> bool:
+        """L-Theory: does the session for ``env`` entail ``goal``?"""
         logic = self.logic
         budget = logic.budget
         if budget is not None:
             # full check before crossing into the session: building a
             # session from scratch (assumption translation, solver
             # asserts) can dwarf a single goal's cost.
-            budget.check()
-        stats = logic.stats
-        stats.theory_goals += len(goals)
-        stats.theory_batches += 1
-        hits = stats.rule_hits
-        hits["dispatch.batch"] = hits.get("dispatch.batch", 0) + 1
-        timers = logic.timers
-        if timers is None:
-            session = logic.theory_session(env)
-            return dict(zip(goals, session.entails_batch(goals)))
-        started = timers.enter("dispatch")
-        try:
-            session = logic.theory_session(env)
-            return dict(zip(goals, session.entails_batch(goals)))
-        finally:
-            timers.exit("dispatch", started)
-
-    def decide_one(self, env: Env, goal: TheoryProp) -> bool:
-        """The single-goal path (atoms outside any and/or frame)."""
-        logic = self.logic
-        budget = logic.budget
-        if budget is not None:
             budget.check()
         stats = logic.stats
         stats.theory_goals += 1

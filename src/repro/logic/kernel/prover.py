@@ -10,11 +10,10 @@ and subtyping through refinements, all of which are fuel-bounded by
 ``max_depth`` (a bound on proof search effort, independent of program
 size).
 
-Theory goals go through the dispatch stage: when a frame holds two or
-more theory atoms they are canonicalised and answered by **one**
-``entails_batch`` call on the environment's theory session
-(:class:`~repro.logic.kernel.dispatch.TheoryDispatch`), instead of one
-session round-trip per atom.
+Theory goals go through the dispatch stage one atom at a time
+(:class:`~repro.logic.kernel.dispatch.TheoryDispatch`): each atom is
+canonicalised and decided only when the frame machine reaches it, so a
+conjunction that fails on an earlier conjunct solves nothing after it.
 
 The memo tables (proof, subtype, lookup) and statistics live on the
 owning :class:`~repro.logic.prove.Logic`; the kernel reads and writes
@@ -24,9 +23,9 @@ reuse — is unchanged from the monolithic engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from ...tr.objects import FST, LEN, SND, BVExpr, FieldRef, LinExpr, Obj, PairObj, Var
+from ...tr.objects import BVExpr, FieldRef, LinExpr, Obj, PairObj, Var
 from ...tr.props import (
     Alias,
     And,
@@ -40,9 +39,19 @@ from ...tr.props import (
 )
 from ...tr.results import TypeResult, fresh_name
 from ...tr.subst import prop_subst, result_subst, type_subst
-from ...tr.types import INT, Fun, Pair, Poly, Refine, Top, TVar, Type, Union, Vec
-from ...tr.types import Str as StrT
-from ...tr.types import make_union
+from ...tr.types import (
+    INT,
+    Fun,
+    Pair,
+    Poly,
+    Refine,
+    Top,
+    TVar,
+    Type,
+    Union,
+    Vec,
+    field_component,
+)
 from ..env import Env
 from ..update import overlap, restrict
 from .normalize import canon_theory
@@ -56,7 +65,7 @@ _DESCEND = object()
 class _Frame:
     """One and/or node of the goal being evaluated."""
 
-    __slots__ = ("conj", "env", "items", "index", "goal", "depth", "batch")
+    __slots__ = ("conj", "env", "items", "index", "goal", "depth")
 
     def __init__(self, conj, env, items, goal, depth):
         self.conj = conj
@@ -65,10 +74,6 @@ class _Frame:
         self.index = 0
         self.goal = goal
         self.depth = depth
-        #: conjunction frames only: canonical theory atom → session
-        #: answer, filled lazily when the first theory atom is reached
-        #: (an earlier failing conjunct must cost no solver work)
-        self.batch: Optional[Dict[TheoryProp, bool]] = None
 
 
 class ProofKernel:
@@ -115,7 +120,7 @@ class ProofKernel:
         stack: List[_Frame] = []
         request_budget = self.logic.budget
         request_tick = None if request_budget is None else request_budget.tick
-        verdict = self._leaf(env, goal, depth, stack, None)
+        verdict = self._leaf(env, goal, depth, stack)
         while stack:
             if request_tick is not None:
                 # cooperative cancellation; the raise unwinds before any
@@ -124,11 +129,7 @@ class ProofKernel:
             if verdict is _DESCEND:
                 frame = stack[-1]
                 verdict = self._leaf(
-                    frame.env,
-                    frame.items[frame.index],
-                    frame.depth,
-                    stack,
-                    frame,
+                    frame.env, frame.items[frame.index], frame.depth, stack
                 )
                 continue
             frame = stack[-1]
@@ -155,12 +156,7 @@ class ProofKernel:
         return bool(verdict)
 
     def _leaf(
-        self,
-        env: Env,
-        goal: Prop,
-        depth: int,
-        stack: List[_Frame],
-        frame: Optional[_Frame],
+        self, env: Env, goal: Prop, depth: int, stack: List[_Frame]
     ) -> object:
         """Evaluate one goal node: a bool, or ``_DESCEND`` after a push."""
         if env.inconsistent:
@@ -196,62 +192,20 @@ class ProofKernel:
                 return True  # L-Refl / L-Sym / L-Transport
             return self._split(env, goal, depth)
         if isinstance(goal, TheoryProp):
-            batch: Optional[Dict[TheoryProp, bool]] = None
-            if frame is not None and frame.conj:
-                # Batch the conjunction's atoms now that one is
-                # actually being consulted (a conjunction failing on an
-                # earlier structural conjunct never reaches this).
-                if frame.batch is None:
-                    frame.batch = (
-                        self._batch_theory(frame.env, frame.items) or {}
-                    )
-                batch = frame.batch
-            if self._prove_theory(env, goal, depth, batch):
+            if self._prove_theory(env, goal, depth):
                 return True
             return self._split(env, goal, depth)
         return self._split(env, goal, depth)
 
     # ------------------------------------------------------------------
-    # theory goals (stage 3: batched dispatch)
+    # theory goals (stage 3: dispatch)
     # ------------------------------------------------------------------
-    def _batch_theory(
-        self, env: Env, items: Tuple[Prop, ...]
-    ) -> Optional[Dict[TheoryProp, bool]]:
-        """Decide a conjunction's theory atoms with one session call.
-
-        Only And frames batch — every conjunct must hold, so once one
-        theory atom is consulted the others (almost) all will be, and
-        one dispatch beats N.  Disjunction atoms go through the lazy
-        single-goal path: any(…) stops at the first provable disjunct,
-        and eagerly solving the other alternatives would pay solver
-        calls short-circuit evaluation never makes.
-        """
-        atoms: List[TheoryProp] = []
-        for item in items:
-            if isinstance(item, TheoryProp):
-                canonical = self._canon_theory(env, item)
-                if isinstance(canonical, TheoryProp) and canonical not in atoms:
-                    atoms.append(canonical)
-        if len(atoms) < 2:
-            return None  # nothing to batch; singles go through decide_one
-        return self.logic.dispatch.decide(env, atoms)
-
-    def _prove_theory(
-        self,
-        env: Env,
-        goal: TheoryProp,
-        depth: int,
-        batch: Optional[Dict[TheoryProp, bool]],
-    ) -> bool:
+    def _prove_theory(self, env: Env, goal: TheoryProp, depth: int) -> bool:
         canonical = self._canon_theory(env, goal)
         if isinstance(canonical, TrueProp):
             return True
         if isinstance(canonical, FalseProp):
             return self._inconsistent(env, depth)
-        if batch is not None:
-            answer = batch.get(canonical)
-            if answer is not None:
-                return answer
         return self.logic.dispatch.decide_one(env, canonical)  # L-Theory
 
     # ------------------------------------------------------------------
@@ -391,7 +345,7 @@ class ProofKernel:
         if isinstance(obj, FieldRef):
             base_ty = self._lookup(env, obj.base, depth + 1)
             if base_ty is not None:
-                derived = _field_component(base_ty, obj.field)
+                derived = field_component(base_ty, obj.field)
                 if derived is not None:
                     candidates.append(derived)
         if not candidates:
@@ -538,21 +492,3 @@ class ProofKernel:
         else_env = self.logic.extend(extended, sub.else_prop)
         return self.prove(else_env, sup.else_prop, depth + 1)
 
-
-def _field_component(ty: Type, field: str) -> Optional[Type]:
-    """The type of ``(field o)`` given ``o``'s type, if determined."""
-    if isinstance(ty, Refine):
-        return _field_component(ty.base, field)
-    if isinstance(ty, Union):
-        parts = [_field_component(m, field) for m in ty.members]
-        if all(p is not None for p in parts) and parts:
-            return make_union(parts)  # type: ignore[arg-type]
-        return None
-    if isinstance(ty, Pair):
-        if field == FST:
-            return ty.fst
-        if field == SND:
-            return ty.snd
-    if isinstance(ty, (Vec, StrT)) and field == LEN:
-        return INT
-    return None

@@ -9,8 +9,8 @@ itself:
   the **normalization** and **saturation** stages (worklist-driven;
   L-RefE, L-Update±, L-TypeFork / L-ObjFork, alias maintenance);
 * ``proves``  — Γ ⊢ ψ, evaluated by the kernel's iterative and/or
-  machine (L-Sub, L-Not, L-Bot, L-Transport) with theory atoms batched
-  per session through the **dispatch** stage (L-Theory);
+  machine (L-Sub, L-Not, L-Bot, L-Transport), each theory atom sent
+  to the environment's session by the **dispatch** stage (L-Theory);
 * ``subtype`` / ``result_subtype`` — Figure 5, including S-Refine1/2
   and SR-Exists.
 
@@ -87,7 +87,7 @@ class EngineStats:
     count (``simplex.pivots``, ``cdcl.conflicts``, …), flushed in by the
     solver facades after every core query.  ``rule_hits`` maps kernel
     rule name → times fired (``sat.type+``, ``sat.alias-merge``,
-    ``dispatch.batch``, …) — the per-program coverage signal the
+    ``dispatch.single``, …) — the per-program coverage signal the
     coverage-guided fuzzer schedules on (:mod:`repro.fuzz.coverage`).
     Instances are picklable and mergeable, so batch workers can each
     keep their own counters and the parent process can report exact
@@ -102,7 +102,6 @@ class EngineStats:
         "lookup_calls",
         "lookup_hits",
         "theory_goals",
-        "theory_batches",
         "session_builds",
         "session_hits",
         "persist_hits",
@@ -127,7 +126,6 @@ class EngineStats:
         self.lookup_calls = 0
         self.lookup_hits = 0
         self.theory_goals = 0
-        self.theory_batches = 0
         self.session_builds = 0
         self.session_hits = 0
         self.persist_hits = 0

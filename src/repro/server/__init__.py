@@ -4,8 +4,8 @@ Every other entry point in this repository is a one-shot process: it
 pays interpreter start-up, prim-environment construction and engine
 cold-start per invocation, then throws the warm engine away.  This
 package is the long-lived alternative — the shape the incremental
-engine (PR 1), ``entails_batch`` dispatch and the persistent proof
-cache (PR 3) were built for:
+engine, its per-environment theory sessions and the persistent proof
+cache were built for:
 
 * :class:`~repro.server.daemon.CheckingServer` — a daemon (CLI:
   ``repro serve``) that keeps warm :class:`~repro.logic.prove.Logic`

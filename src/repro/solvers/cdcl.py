@@ -19,7 +19,7 @@ Sörensson, SAT 2003), replacing the recursive DPLL core behind
   list of assumption literals decided before any free decision
   (MiniSat's ``solve(assumps)``), which is what lets the facade map
   ``push``/``pop`` to selector literals and reuse learned clauses
-  across an entire ``check_many`` batch.
+  across every goal asked of one solver.
 
 Learned clauses are kept for the engine's lifetime (no deletion
 policy): the bit-blasted instances this repository produces stay in

@@ -159,21 +159,6 @@ class IncrementalConstraintSet:
     def entails_many(
         self, goals: Sequence[Constraint], max_constraints: int = 6000
     ) -> List[bool]:
-        """Decide several goals against the same assumption set.
-
-        Under ``fast`` each goal is a push/assert/check/pop bracket on
-        the *same* tableau — the assumptions are translated once for the
-        whole batch, and the work counters are flushed once.  Answers
-        agree exactly with per-goal :meth:`entails` calls.
-        """
-        if self._contradiction:
-            return [True] * len(goals)
-        engine = self._engine
-        if engine is None:
-            return [
-                fm_entails(self._constraints, goal, max_constraints)
-                for goal in goals
-            ]
-        results = [engine.entails(goal, max_pivots=max_constraints) for goal in goals]
-        self._flush()
-        return results
+        # Kept only while perfbench/layers.py wraps it by name; ROADMAP
+        # item 13 drops it from ``WRAPPED`` and deletes it.
+        return [self.entails(goal, max_constraints) for goal in goals]

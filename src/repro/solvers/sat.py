@@ -21,8 +21,8 @@ selected by the ``solver_backend`` knob (:mod:`repro.solvers.backend`):
   a pushed frame are guarded by that frame's selector, queries solve
   under the active selectors as assumptions, and ``pop`` retires a
   selector with a permanent unit.  The engine object persists across
-  queries, so learned clauses are reused across a whole ``check_many``
-  batch instead of restarting the search per goal.
+  queries, so clauses learned on one goal prune the search for every
+  later goal against the same assumptions.
 * ``legacy``: the original recursive DPLL, now living in
   :mod:`repro.solvers.reference` as the differential-testing oracle;
   ``push``/``pop`` is clause-list truncation and every query re-solves
@@ -223,12 +223,12 @@ class IncrementalSatSolver:
 
         Each element of ``extra_clause_sets`` is speculatively asserted
         inside a ``push``/``pop`` bracket over the *same* fixed clause
-        prefix — the multi-goal shape of the bitvector theory's batched
-        dispatch, where one bit-blasted ``[[Γ]]_T`` serves every goal in
-        the batch without being copied or re-encoded.  Under ``fast``
-        each bracket is a fresh selector on the same persistent engine,
-        so conflict clauses learned on one goal prune the search for
-        every later goal in the batch.
+        prefix.  The bitvector context passes one set per goal: that
+        goal's Tseitin clauses plus its negation, against the
+        bit-blasted ``[[Γ]]_T`` shared by every goal of the session.
+        Under ``fast`` each bracket is a fresh selector on the same
+        persistent engine, so conflict clauses learned on one goal
+        prune the search for every later one.
         """
         results: List[bool] = []
         for extra in extra_clause_sets:

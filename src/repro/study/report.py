@@ -284,10 +284,7 @@ def engine_stats_table(stats: EngineStats) -> str:
         f"  {'theory sessions':<22}{stats.session_hits:>8} reused /"
         f"{stats.session_builds:>6} built  (of {sessions_total})"
     )
-    lines.append(
-        f"  {'theory goals':<22}{stats.theory_goals:>8}  "
-        f"(batched into {stats.theory_batches} dispatches)"
-    )
+    lines.append(f"  {'theory goals':<22}{stats.theory_goals:>8}")
     for name in sorted(stats.theory_queries):
         lines.append(
             f"    {name + ' queries':<20}{stats.theory_queries[name]:>8}"

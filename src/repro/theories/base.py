@@ -65,19 +65,6 @@ class Theory:
         """
         raise NotImplementedError
 
-    def entails_batch(
-        self, assumptions: Sequence[Prop], goals: Sequence[TheoryProp]
-    ) -> List[bool]:
-        """Decide several goals under one assumption set, positionally.
-
-        The default simply loops :meth:`entails`; theories whose
-        translation work dominates (bit-blasting, constraint
-        normalisation) override this to translate ``assumptions`` once
-        and reuse it across the whole batch.  Must be answer-equivalent
-        to per-goal :meth:`entails` calls.
-        """
-        return [self.entails(assumptions, goal) for goal in goals]
-
     def context(self) -> "TheoryContext":
         """A fresh incremental assumption context for this theory.
 
@@ -124,17 +111,6 @@ class TheoryContext:
     def entails(self, goal: TheoryProp) -> bool:
         raise NotImplementedError
 
-    def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
-        """Decide several goals under the asserted assumptions.
-
-        One call per theory session instead of N single-goal
-        round-trips: contexts backed by incremental solvers override
-        this so per-batch work (range analysis, encoding setup) happens
-        once.  Answers are positional and must agree exactly with
-        per-goal :meth:`entails` calls.
-        """
-        return [self.entails(goal) for goal in goals]
-
     def is_unsat(self) -> bool:
         """Are the asserted assumptions definitely inconsistent?
 
@@ -148,8 +124,7 @@ class BatchContext(TheoryContext):
     """Fallback context for theories without an incremental solver.
 
     Keeps the accepted assumptions in one list and hands it to the
-    theory's one-shot :meth:`~Theory.entails` per goal, or to
-    :meth:`~Theory.entails_batch` once per batch.
+    theory's one-shot :meth:`~Theory.entails` per goal.
     """
 
     __slots__ = ("theory", "_props")
@@ -164,11 +139,3 @@ class BatchContext(TheoryContext):
 
     def entails(self, goal: TheoryProp) -> bool:
         return self.theory.accepts(goal) and self.theory.entails(self._props, goal)
-
-    def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
-        """One :meth:`Theory.entails_batch` dispatch for the whole batch."""
-        accepted = [goal for goal in goals if self.theory.accepts(goal)]
-        if not accepted:
-            return [False] * len(goals)
-        answers = dict(zip(accepted, self.theory.entails_batch(self._props, accepted)))
-        return [answers.get(goal, False) for goal in goals]

@@ -467,60 +467,23 @@ class BitvectorContext(TheoryContext):
             return False  # decline without blasting Γ
         return self._decide_encoded(goal)
 
-    def _speculative_clauses(self, goal: TheoryProp) -> Optional[List[List[int]]]:
-        """Encode ``goal`` and return its clause set plus the ¬goal unit.
+    def _decide_encoded(self, goal: TheoryProp) -> bool:
+        """Refute ``¬goal`` against the shared assumption encoding.
 
-        The whole goal encoding is speculative: its Tseitin clauses are
+        The goal encoding is speculative: its Tseitin clauses are
         captured and then retracted from the shared blaster and
         encoder, so successive goals never pay for each other's
-        clauses.  ``None`` means the goal could not be grounded.
+        clauses.  The solver sees them, plus the ¬goal unit, inside one
+        push/pop bracket over the assumption clauses.
         """
-        blaster, encoder, _solver = self._ensure_encoded()
+        blaster, encoder, solver = self._ensure_encoded()
         clause_mark = len(blaster.clauses)
         encoder_mark = encoder.mark()
         goal_lit = encoder.encode_prop(goal)
-        extra: Optional[List[List[int]]] = None
-        if goal_lit is not None:
-            extra = [list(clause) for clause in blaster.clauses[clause_mark:]]
-            extra.append([-goal_lit])
+        extra = [list(clause) for clause in blaster.clauses[clause_mark:]]
         del blaster.clauses[clause_mark:]
         encoder.release(encoder_mark)
-        return extra
-
-    def _decide_encoded(self, goal: TheoryProp) -> bool:
-        """Refute ``¬goal`` against the shared assumption encoding."""
-        extra = self._speculative_clauses(goal)
-        if extra is None:
+        if goal_lit is None:
             return False  # goal not groundable after all: decline
-        solver = self._encoded[2]
+        extra.append([-goal_lit])
         return not solver.check_many([extra])[0]
-
-    def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
-        """Blast ``[[Γ]]_T`` at most once for the whole batch.
-
-        The range analysis and assumption encoding are shared by every
-        goal.  Each groundable goal is speculatively encoded (and its
-        Tseitin clauses retracted, so goals never pay for each other),
-        then the negated-goal clause sets go to the SAT solver as
-        **one** :meth:`IncrementalSatSolver.check_many` call against
-        the shared assumption prefix — N goals cost one translation
-        plus one multi-probe solver call instead of N translations.
-        """
-        results: List[bool] = []
-        pending: List[Tuple[int, List[List[int]]]] = []
-        for goal in goals:
-            extra = None
-            # An ungroundable goal is declined without blasting Γ.
-            if isinstance(goal, (BVProp, LeqZero)) and self._groundable(
-                goal, self._ensure_bounds()
-            ):
-                extra = self._speculative_clauses(goal)
-            if extra is not None:
-                pending.append((len(results), extra))
-            results.append(False)  # declined, or patched below
-        if pending:
-            solver = self._encoded[2]
-            answers = solver.check_many([extra for _, extra in pending])
-            for (position, _), sat in zip(pending, answers):
-                results[position] = not sat  # refuting ¬goal proves the goal
-        return results

@@ -21,7 +21,7 @@ like "2x is even" come out for free from the linear structure.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..tr.objects import LinExpr, Obj
 from ..tr.props import Congruence, Prop, TheoryProp
@@ -149,20 +149,3 @@ class CongruenceContext(TheoryContext):
         if residue is None:
             return False
         return residue == goal.residue % goal.modulus
-
-    def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
-        """Every goal reads the same residue table — one pass, no setup."""
-        if self._inconsistent:
-            return [isinstance(goal, Congruence) for goal in goals]
-        residue_of = self.theory._residue_of
-        known = self._known
-        results: List[bool] = []
-        for goal in goals:
-            if not isinstance(goal, Congruence):
-                results.append(False)
-                continue
-            residue = residue_of(goal.obj, goal.modulus, known)
-            results.append(
-                residue is not None and residue == goal.residue % goal.modulus
-            )
-        return results

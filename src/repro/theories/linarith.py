@@ -11,7 +11,7 @@ mirroring the lightweight solver the paper describes (``legacy``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..solvers.backend import resolve_backend
 from ..solvers.linear import (
@@ -121,27 +121,6 @@ class LinArithContext(TheoryContext):
         return self._set.entails(
             constraint_of_leqzero(goal), self.theory.max_constraints
         )
-
-    def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
-        """One solver consultation for the whole batch.
-
-        Goals are translated up front and handed to
-        :meth:`IncrementalConstraintSet.entails_many`, which
-        materialises the assumption constraints once for every
-        elimination run in the batch.
-        """
-        linear: List[Tuple[int, Constraint]] = []
-        for index, goal in enumerate(goals):
-            if isinstance(goal, LeqZero):
-                linear.append((index, constraint_of_leqzero(goal)))
-        results = [False] * len(goals)
-        if linear:
-            answers = self._set.entails_many(
-                [con for _, con in linear], self.theory.max_constraints
-            )
-            for (index, _), answer in zip(linear, answers):
-                results[index] = answer
-        return results
 
     def is_unsat(self) -> bool:
         return self._set.satisfiable(self.theory.max_constraints) == UNSAT

@@ -9,8 +9,8 @@ runtime — the integration recipe of section 3.4.
 
 Two query paths are offered:
 
-* :meth:`TheoryRegistry.entails` — the one-shot batch judgment.  Each
-  theory now only sees the assumptions it :meth:`~Theory.accepts`,
+* :meth:`TheoryRegistry.entails` — the one-shot judgment.  Each
+  theory only sees the assumptions it :meth:`~Theory.accepts`,
   instead of being handed the full assumption list to re-filter on
   every goal.
 * :meth:`TheoryRegistry.session` — a :class:`RegistrySession` bundling
@@ -66,38 +66,6 @@ class TheoryRegistry:
             if theory.entails(relevant, goal):
                 return True
         return False
-
-    def entails_batch(
-        self, assumptions: Sequence[Prop], goals: Sequence[TheoryProp]
-    ) -> List[bool]:
-        """The batched L-Theory judgment, positionally.
-
-        Assumptions are filtered per theory *once* for the whole batch
-        and each theory receives a single :meth:`Theory.entails_batch`
-        call covering every goal it accepts that an earlier theory has
-        not already discharged — answer-equivalent to per-goal
-        :meth:`entails` but with one dispatch per theory instead of
-        one per (theory, goal) pair.
-        """
-        goals = list(goals)
-        verdicts: Dict[TheoryProp, bool] = {goal: False for goal in goals}
-        remaining = list(verdicts)
-        for theory in self._theories:
-            if not remaining:
-                break
-            attempt = [goal for goal in remaining if theory.accepts(goal)]
-            if not attempt:
-                continue
-            relevant = [
-                prop
-                for prop in assumptions
-                if isinstance(prop, TheoryProp) and theory.accepts(prop)
-            ]
-            for goal, answer in zip(attempt, theory.entails_batch(relevant, attempt)):
-                if answer:
-                    verdicts[goal] = True
-            remaining = [goal for goal in remaining if not verdicts[goal]]
-        return [verdicts[goal] for goal in goals]
 
     def session(
         self,
@@ -175,46 +143,9 @@ class RegistrySession:
         return result
 
     def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
-        """Decide a batch of goals with one dispatch per theory.
-
-        The kernel's theory stage groups goal atoms and calls this once
-        per session instead of N times: unresolved goals flow through
-        the theories in registration order, each theory seeing the
-        whole sub-batch it accepts via one
-        :meth:`TheoryContext.entails_batch` call.  Memoisation and the
-        per-theory query counters behave exactly as N single-goal
-        :meth:`entails` calls would.
-        """
-        goals = list(goals)
-        results: List[Optional[bool]] = [None] * len(goals)
-        positions: Dict[TheoryProp, List[int]] = {}
-        for index, goal in enumerate(goals):
-            cached = self._memo.get(goal)
-            if cached is not None:
-                results[index] = cached
-            else:
-                positions.setdefault(goal, []).append(index)
-        if positions:
-            verdicts: Dict[TheoryProp, bool] = {goal: False for goal in positions}
-            remaining = list(verdicts)
-            for theory, context in zip(self._theories, self._contexts):
-                if not remaining:
-                    break
-                attempt = [goal for goal in remaining if theory.accepts(goal)]
-                if not attempt:
-                    continue
-                self.counters[theory.name] = (
-                    self.counters.get(theory.name, 0) + len(attempt)
-                )
-                for goal, answer in zip(attempt, context.entails_batch(attempt)):
-                    if answer:
-                        verdicts[goal] = True
-                remaining = [goal for goal in remaining if not verdicts[goal]]
-            for goal, verdict in verdicts.items():
-                self._memo[goal] = verdict
-                for index in positions[goal]:
-                    results[index] = verdict
-        return [bool(answer) for answer in results]
+        # Kept only while perfbench/layers.py wraps it by name; ROADMAP
+        # item 13 drops it from ``WRAPPED`` and deletes it.
+        return [self.entails(goal) for goal in goals]
 
     def invalidate(self) -> None:
         """Drop memoised answers so a retained handle recomputes.

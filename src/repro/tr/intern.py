@@ -7,7 +7,7 @@ them.  The original representation — frozen dataclasses with *lazily*
 cached hashes — made every cold probe pay a Python-level ``__hash__``
 (guarded by an ``AttributeError``), every deep value a priming walk,
 and every content digest a memo-dict lookup.  Profiling the checker on
-the fuzz corpus showed those frames (``prime_hashes``, the lazy
+the fuzz corpus showed those frames (the hash-priming walk, the lazy
 ``__hash__``/``__eq__`` wrappers, ``dataclasses.fields`` walks and the
 digest memo) dominating the hot path.
 
@@ -51,7 +51,6 @@ __all__ = [
     "interned",
     "node_id",
     "node_digest",
-    "prime_hashes",
     "intern_stats",
     "reset_intern_stats",
     "register_clear_hook",
@@ -333,18 +332,6 @@ def _child_digest(value: Any) -> str:
     if isinstance(value, tuple):
         return "(" + ",".join(_child_digest(item) for item in value) + ")"
     return repr(value)
-
-
-def prime_hashes(node: Any) -> None:
-    """Compatibility no-op: hashes are computed at construction.
-
-    The frozen-dataclass representation cached hashes lazily, so the
-    first ``hash()`` of a cold deep tree recursed through every
-    uncached child and callers had to warm values bottom-up before
-    touching them.  Interned nodes are born with their hash (children
-    are hashed before the parent's construction key is), so there is
-    nothing left to prime.  Kept so external callers need not change.
-    """
 
 
 def intern_stats() -> Dict[str, int]:

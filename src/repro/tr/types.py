@@ -18,9 +18,10 @@ type ``⊥ = (U)``, ``Nat = {x:Int | 0 ≤ x}`` and ``Byte = {b:Int |
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 from .intern import InternedValue, interned
+from .objects import FST, LEN, SND
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken via annotations
     from .props import Prop
@@ -51,6 +52,7 @@ __all__ = [
     "BOT",
     "make_union",
     "union_members",
+    "field_component",
 ]
 
 
@@ -263,6 +265,29 @@ def make_union(members: Iterable[Type]) -> Type:
     if len(flat) == 1:
         return flat[0]
     return Union(tuple(flat))
+
+
+def field_component(ty: Type, field: str) -> Optional[Type]:
+    """The type of ``(field o)`` given ``o``'s type, if determined.
+
+    ``fst``/``snd`` of a pair (through refinements and unions whose
+    every member is a pair), and ``len`` of a vector or string.
+    """
+    if isinstance(ty, Refine):
+        return field_component(ty.base, field)
+    if isinstance(ty, Union):
+        parts = [field_component(m, field) for m in ty.members]
+        if all(p is not None for p in parts) and parts:
+            return make_union(parts)  # type: ignore[arg-type]
+        return None
+    if isinstance(ty, Pair):
+        if field == FST:
+            return ty.fst
+        if field == SND:
+            return ty.snd
+    if isinstance(ty, (Vec, Str)) and field == LEN:
+        return INT
+    return None
 
 
 BOOL = Union((TRUE, FALSE))

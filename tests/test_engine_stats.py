@@ -19,9 +19,9 @@ def _worked_stats(source: str = SOURCE) -> EngineStats:
     return logic.stats
 
 
-def _batched_stats() -> EngineStats:
-    """Stats from a workload that includes a conjunction dispatch
-    (``theory_batches``) on top of a normal checker run."""
+def _conjunction_stats() -> EngineStats:
+    """Stats from a workload that proves a conjunction of two theory
+    atoms on top of a normal checker run."""
     from repro.logic.env import Env
     from repro.tr.objects import Var, obj_int
     from repro.tr.props import lin_le, make_and
@@ -32,7 +32,6 @@ def _batched_stats() -> EngineStats:
     env = logic.extend(Env(), lin_le(x, obj_int(5)))
     goal = make_and((lin_le(x, obj_int(6)), lin_le(x, obj_int(7))))
     assert logic.proves(env, goal)
-    assert logic.stats.theory_batches >= 1
     return logic.stats
 
 
@@ -79,8 +78,7 @@ class TestCopyDeltaRoundTrip:
     subtracts (``delta_from``) after; workers pickle their deltas to
     the parent, which merges them.  The round trip must reconstruct
     the totals exactly — including the dict-valued slots
-    (``theory_queries``, ``solver_counters``) and the batch counters
-    that ``entails_many``/``check_many`` bump once per dispatch.
+    (``theory_queries``, ``solver_counters``).
     """
 
     def test_copy_then_delta_recovers_increment(self):
@@ -95,12 +93,11 @@ class TestCopyDeltaRoundTrip:
     def test_batches_and_solver_counters_survive_fork_merge(self):
         # simulate two fork workers: each works, pickles a delta,
         # and the parent merges — totals must be exact sums
-        workers = [_batched_stats(), _worked_stats()]
+        workers = [_conjunction_stats(), _worked_stats()]
         shipped = [pickle.loads(pickle.dumps(w)) for w in workers]
         merged = EngineStats()
         for delta in shipped:
             merged.merge(delta)
-        assert merged.theory_batches == sum(w.theory_batches for w in workers)
         assert merged.theory_goals == sum(w.theory_goals for w in workers)
         names = set()
         for w in workers:
@@ -111,8 +108,7 @@ class TestCopyDeltaRoundTrip:
             )
 
     def test_solver_counters_populated_by_fast_backend(self):
-        stats = _batched_stats()
-        assert stats.theory_batches > 0
+        stats = _conjunction_stats()
         # the refinement in SOURCE forces linear-arithmetic work, so
         # the fast core's counters must have flowed through the facade
         assert any(
@@ -125,7 +121,7 @@ class TestCopyDeltaRoundTrip:
         delta = stats.delta_from(stats.copy())
         assert delta.solver_counters == {}
         assert delta.theory_queries == {}
-        assert delta.theory_batches == 0
+        assert delta.theory_goals == 0
 
     def test_copy_does_not_alias_solver_counters(self):
         stats = _worked_stats()

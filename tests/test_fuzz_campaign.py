@@ -27,9 +27,9 @@ PINNED_SLICE = FuzzConfig(
     seed=2016, count=80, shards=2, mutants=False,
     solver_oracle=True, coverage=True,
 )
-PINNED_DIGEST = "740c412919031d02789125a3b81458a3ba3d980979b873057867fbf7b0993859"
+PINNED_DIGEST = "daeb21b873760c751ae1e55d9f96ca7779b61aa9cca788c483d498b7ff3317b6"
 PINNED_COVERAGE_DIGEST = (
-    "63dc07e74ed91966fb1d9118878696d26dbb3a2739c0f26e47c29d2f1596fc65"
+    "9a80c3b641750a180780f66f82b528f3ef918797ad1784501e908bc9056f11ca"
 )
 #: the same slice's digest with the coverage term left out: counts,
 #: features and violations only.  Coverage buckets the kernel's work

@@ -1,8 +1,8 @@
 """Unit coverage for the layered proof kernel's stages.
 
 Normalization rules are pure single-step rewrites; saturation is a
-budgeted worklist; dispatch batches theory atoms per frame.  These
-tests pin the stage contracts directly, below the Logic façade.
+budgeted worklist; dispatch decides each theory atom as it is reached.
+These tests pin the stage contracts directly, below the Logic façade.
 """
 
 from repro.logic.env import Env
@@ -146,12 +146,21 @@ class TestSaturation:
 
 
 class TestDispatchStage:
-    def test_conjoined_theory_goals_use_one_batch(self):
+    def test_conjoined_theory_goals_each_reach_the_session(self):
         logic = Logic()
         env = logic.extend(Env(), lin_le(X, obj_int(5)))
         goal = make_and((lin_le(X, obj_int(6)), lin_le(X, obj_int(7))))
         assert logic.proves(env, goal)
-        assert logic.stats.theory_batches >= 1
+        assert logic.stats.theory_goals == 2
+
+    def test_conjunction_stops_at_its_first_failing_theory_atom(self):
+        # x ≤ 3 fails under x ≤ 5, so the conjunction fails there and
+        # x ≤ 7 is never sent to a solver.
+        logic = Logic()
+        env = logic.extend(Env(), lin_le(X, obj_int(5)))
+        goal = make_and((lin_le(X, obj_int(3)), lin_le(X, obj_int(7))))
+        assert not logic.proves(env, goal)
+        assert logic.stats.theory_goals == 1
 
     def test_batched_answers_match_singles(self):
         goals = [lin_le(X, obj_int(6)), lin_le(obj_int(9), X)]

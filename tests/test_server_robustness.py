@@ -64,10 +64,6 @@ class _CancelAtDispatch:
             self.consults.value += 1
         current_budget().cancel("test")
 
-    def decide(self, env, goals):
-        self._cancel()
-        return self.inner.decide(env, goals)
-
     def decide_one(self, env, goal):
         self._cancel()
         return self.inner.decide_one(env, goal)
@@ -346,10 +342,6 @@ class TestWatchdog:
                 if not self.killed.value:
                     self.killed.value = 1
                     raise SystemExit("injected lane death")
-
-            def decide(self, env, goals):
-                self._fault()
-                return self.inner.decide(env, goals)
 
             def decide_one(self, env, goal):
                 self._fault()
