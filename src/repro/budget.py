@@ -19,6 +19,9 @@ unwinds through code that is already exception-safe by construction:
   so aborting mid-pivot restores the tableau bounds;
 * ``CDCL.solve`` backtracks to level 0 and re-enables gc in a
   ``finally`` (the same path its own conflict budget uses);
+* a bitvector goal is a SAT *assumption* (``check_sat([-goal])``),
+  never a clause, so an abort mid-solve leaves no negated goal in the
+  cached theory session;
 * ``Logic._proves_miss`` only caches *after* the kernel returns, so an
   aborted proof never poisons the memo or the persistent cache;
 * partially-saturated environments are request-scoped snapshots that

@@ -131,7 +131,6 @@ class Env:
         "compounds",
         "aliases",
         "inconsistent",
-        "_theory_cache",
         "_fingerprint",
         "_fp_types",
         "_fp_negs",
@@ -151,7 +150,6 @@ class Env:
         self.compounds: List[Prop] = []
         self.aliases = AliasClasses()
         self.inconsistent = False
-        self._theory_cache: Optional[List[Prop]] = None
         self._fingerprint: Optional[EnvKey] = None
         # Fingerprint components, maintained *incrementally* by the
         # record-keeping methods below: each is a set of stable intern
@@ -178,7 +176,6 @@ class Env:
         dup.compounds = list(self.compounds)
         dup.aliases = self.aliases.copy()
         dup.inconsistent = self.inconsistent
-        dup._theory_cache = None
         # Identical content: the fingerprint and its components carry
         # over; the id sets are shared copy-on-write (neither side may
         # mutate them in place until it owns a private copy).
@@ -312,7 +309,6 @@ class Env:
         if pair not in fp:
             fp.add(pair)
             self._fph_types ^= hash(pair)
-        self._theory_cache = None
         self._fingerprint = None
 
     def add_neg(self, obj: Obj, ty: Type) -> None:
@@ -335,7 +331,6 @@ class Env:
             if fact_id not in self._fp_facts:
                 self._fp_facts.add(fact_id)
                 self._fph_facts ^= hash(fact_id)
-            self._theory_cache = None
             self._fingerprint = None
 
     def add_compound(self, prop: Prop) -> None:
@@ -368,12 +363,9 @@ class Env:
         Returns ``(representative, changed_members)`` where
         ``changed_members`` lists the objects whose representative is
         different after the merge (see
-        :meth:`AliasClasses.union_with_changes`).  The theory-projection
-        cache is dropped: cached assumptions may mention demoted
-        members and would otherwise go stale.
+        :meth:`AliasClasses.union_with_changes`).
         """
         self._fingerprint = None
-        self._theory_cache = None
         return self.aliases.union_with_changes(left, right)
 
     def reset_records(self) -> None:
@@ -381,7 +373,6 @@ class Env:
         self.types = {}
         self.negs = {}
         self.theory_facts = []
-        self._theory_cache = None
         self._own_fp()
         self._fp_types.clear()
         self._fp_negs.clear()

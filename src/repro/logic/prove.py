@@ -522,8 +522,6 @@ class Logic:
         return session
 
     def theory_assumptions(self, env: Env) -> List[Prop]:
-        if env._theory_cache is not None:
-            return env._theory_cache
         facts: List[Prop] = []
         seen: set = set()
         canon = self.kernel._canon
@@ -558,7 +556,6 @@ class Logic:
                         continue
                     for atom in _theory_atoms(lin_eq(member, rep)):
                         push(atom)
-        env._theory_cache = facts
         return facts
 
     def _numeric_facts(self, obj: Obj, ty: Type, depth: int) -> Iterator[TheoryProp]:

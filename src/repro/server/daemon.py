@@ -363,9 +363,10 @@ class _LaneEngine:
                 response = self._execute(request, session, epoch)
         except CancelledError as exc:
             # mid-proof abort: the budget raise unwound through
-            # exception-safe paths only (push/pop brackets, cache
-            # writes that happen after success), so the lane stays
-            # warm; report retryably and keep serving.
+            # exception-safe paths only (the simplex's push/finally-pop
+            # probe, SAT goals asked as assumptions, cache writes that
+            # happen after success), so the lane stays warm; report
+            # retryably and keep serving.
             counts[exc.code] = 1
             carries_stats = True
             response = error_response(request, exc.code, str(exc), retryable=True)

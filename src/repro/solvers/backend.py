@@ -17,18 +17,20 @@ The process default comes from ``REPRO_SOLVER_BACKEND`` (read once,
 lazily); individual theories and solver facades accept an explicit
 ``backend=`` argument that overrides it.  Both backends are sound for
 refutation, so verdicts must agree — the fuzz oracle and the pinned
-corpus test in CI pin that down.
+corpus test in CI pin that down.  Both facades flush their fast core's
+work counters through :class:`CoreCounters`.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Any, Dict, Optional
 
 __all__ = [
     "FAST",
     "LEGACY",
     "BACKENDS",
+    "CoreCounters",
     "default_backend",
     "resolve_backend",
 ]
@@ -62,3 +64,35 @@ def resolve_backend(backend: Optional[str]) -> str:
         return default_backend()
     return _validate(backend)
 
+
+class CoreCounters:
+    """Counter plumbing shared by the solver facades.
+
+    A facade's fast core (``self._engine``; ``None`` under ``legacy``)
+    keeps cumulative work counters.  After each query :meth:`_flush`
+    adds what changed since the previous flush into the dict bound by
+    :meth:`bind_counters` (``EngineStats.solver_counters``).
+    """
+
+    __slots__ = ("_engine", "_shared_counters", "_flush_base")
+
+    def __init__(self, engine: Optional[Any]) -> None:
+        self._engine = engine
+        self._shared_counters: Optional[Dict[str, int]] = None
+        self._flush_base: Dict[str, int] = {}
+
+    def bind_counters(self, shared: Optional[Dict[str, int]]) -> None:
+        """Flush per-core work counters into ``shared`` after each query."""
+        self._shared_counters = shared
+
+    def _flush(self) -> None:
+        if self._shared_counters is None or self._engine is None:
+            return
+        snapshot = self._engine.counters()
+        base = self._flush_base
+        shared = self._shared_counters
+        for key, value in snapshot.items():
+            delta = value - base.get(key, 0)
+            if delta:
+                shared[key] = shared.get(key, 0) + delta
+        self._flush_base = snapshot

@@ -11,8 +11,14 @@ input, a repeated input or an input beside its own complement decides
 the output from literals that already exist, and no variable or clause
 is added.  So a constant multiplier costs one adder per set bit, and
 adding or comparing against a constant shrinks the same way.  There is
-no structural hashing: a gate built twice is encoded twice, which keeps
-every clause's lifetime tied to the encoding that added it.
+no structural hashing: a gate built twice is encoded twice (the
+bitvector context caches encodings per term, one level up).
+
+Every gate that is not folded defines a fresh variable by both
+directions of its Tseitin definition, so an encoding's clauses
+constrain nothing but its own fresh variables.  That is why the
+bitvector context can keep a goal's encoding after the goal is decided:
+the goal itself is asked as an assumption, never as a clause.
 
 The :class:`BitBlaster` hands out fresh variables, caches variable
 encodings, and offers the operations the AES ``xtime`` example and the
@@ -76,8 +82,8 @@ class BitBlaster:
     # ------------------------------------------------------------------
     # gates (Tseitin encodings, constant-folded)
     # ------------------------------------------------------------------
-    # A folded gate returns a literal that already exists, so truncating
-    # ``clauses`` after a speculative encoding never strands its result.
+    # A folded gate returns a literal that already exists; any other
+    # gate defines a fresh output by both directions of its definition.
 
     def gate_and(self, a: int, b: int) -> int:
         true = self._true_lit

@@ -17,16 +17,15 @@ Sörensson, SAT 2003), replacing the recursive DPLL core behind
   (unit 100 conflicts), keeping learned clauses;
 * **assumption-based incremental solving** — :meth:`solve` takes a
   list of assumption literals decided before any free decision
-  (MiniSat's ``solve(assumps)``), which is what lets the facade map
-  ``push``/``pop`` to selector literals and reuse learned clauses
+  (MiniSat's ``solve(assumps)``), which is what lets the facade ask
+  each goal as the assumption ``¬goal`` and reuse learned clauses
   across every goal asked of one solver.
 
 Learned clauses are kept for the engine's lifetime (no deletion
 policy): the bit-blasted instances this repository produces stay in
 the thousands of clauses, and the conflict budget bounds runaway
 growth.  Variables are arbitrary positive ints and all maps are dicts,
-so sparse variable spaces (the facade's high-range selector literals)
-cost nothing.
+so sparse variable spaces cost nothing.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ verdict-for-verdict in the fuzz ``--solver-oracle`` mode.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .backend import FAST, resolve_backend
+from .backend import FAST, CoreCounters, resolve_backend
 from .linform import SAT, UNKNOWN, UNSAT, Atom, Constraint
 from .reference import fm_entails, fm_satisfiable
 from .simplex import Simplex
@@ -43,70 +43,35 @@ __all__ = [
 ]
 
 
-class IncrementalConstraintSet:
+class IncrementalConstraintSet(CoreCounters):
     """An append-only constraint store — the context backing the
     incremental linear-arithmetic theory.
 
-    Constraints are normalised and made unique *once*, as they are
-    asserted; the :meth:`satisfiable` answer is memoised until the next
-    content change.  A contradictory constraint latches the set: from
-    then on it is UNSAT and entails everything.
+    Constraints are normalised once, as they are asserted, and trivial
+    ones dropped; the :meth:`satisfiable` answer is memoised until the
+    next content change.  A contradictory constraint latches the set:
+    from then on it is UNSAT and entails everything.
 
-    Under the ``fast`` backend every asserted constraint is also a
-    bound update on a persistent simplex tableau, so a goal is decided
-    by refuting its negation incrementally; under ``legacy`` each query
-    re-runs Fourier-Motzkin elimination over :meth:`constraints`.
+    Under the ``fast`` backend every asserted constraint is a bound
+    update on a persistent simplex tableau, so a goal is decided by
+    refuting its negation incrementally; under ``legacy`` each query
+    re-runs Fourier-Motzkin elimination over the kept constraint list.
     """
 
-    __slots__ = (
-        "_constraints",
-        "_seen",
-        "_contradiction",
-        "_sat_memo",
-        "_backend",
-        "_engine",
-        "_shared_counters",
-        "_flush_base",
-    )
+    __slots__ = ("_constraints", "_contradiction", "_sat_memo", "_backend")
 
     def __init__(self, backend: Optional[str] = None) -> None:
+        self._backend = resolve_backend(backend)
+        super().__init__(Simplex() if self._backend == FAST else None)
+        #: the constraints Fourier-Motzkin re-eliminates (``legacy`` only)
         self._constraints: List[Constraint] = []
-        self._seen: set = set()
         self._contradiction = False
         self._sat_memo: Optional[str] = None
-        self._backend = resolve_backend(backend)
-        self._engine: Optional[Simplex] = (
-            Simplex() if self._backend == FAST else None
-        )
-        #: shared counter dict (``EngineStats.solver_counters``) and the
-        #: engine-counter snapshot already flushed into it
-        self._shared_counters: Optional[Dict[str, int]] = None
-        self._flush_base: Dict[str, int] = {}
 
     @property
     def backend(self) -> str:
         return self._backend
 
-    # ------------------------------------------------------------------
-    # counter plumbing
-    # ------------------------------------------------------------------
-    def bind_counters(self, shared: Optional[Dict[str, int]]) -> None:
-        """Flush per-core work counters into ``shared`` after each query."""
-        self._shared_counters = shared
-
-    def _flush(self) -> None:
-        if self._shared_counters is None or self._engine is None:
-            return
-        snapshot = self._engine.counters()
-        base = self._flush_base
-        shared = self._shared_counters
-        for key, value in snapshot.items():
-            delta = value - base.get(key, 0)
-            if delta:
-                shared[key] = shared.get(key, 0) + delta
-        self._flush_base = snapshot
-
-    # ------------------------------------------------------------------
     def add(self, con: Constraint) -> None:
         if self._contradiction:
             return
@@ -115,22 +80,15 @@ class IncrementalConstraintSet:
             self._contradiction = True
             self._sat_memo = None
             return
-        if norm.is_trivial() or norm in self._seen:
+        if norm.is_trivial():
             return
-        self._seen.add(norm)
-        self._constraints.append(norm)
         self._sat_memo = None
         if self._engine is not None:
             # A bound conflict is recorded inside the engine; queries
             # then answer UNSAT without pivoting.
             self._engine.assert_constraint(norm)
-
-    # ------------------------------------------------------------------
-    def constraints(self) -> List[Constraint]:
-        return list(self._constraints)
-
-    def __len__(self) -> int:
-        return len(self._constraints)
+        else:
+            self._constraints.append(norm)
 
     def satisfiable(self, max_constraints: int = 6000) -> str:
         if self._contradiction:

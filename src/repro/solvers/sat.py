@@ -15,18 +15,17 @@ The public surface (:func:`solve`, :func:`is_satisfiable`,
 selected by the ``solver_backend`` knob (:mod:`repro.solvers.backend`):
 
 * ``fast`` (default): the CDCL engine of :mod:`repro.solvers.cdcl`.
-  :class:`IncrementalSatSolver` brackets each speculative probe of
-  :meth:`~IncrementalSatSolver.check_many` with an internal
-  ``push``/``pop`` mapped to *selector literals* — clauses added inside
-  a pushed frame are guarded by that frame's selector, queries solve
-  under the active selectors as assumptions, and ``pop`` retires a
-  selector with a permanent unit.  The engine object persists across
-  queries, so clauses learned on one goal prune the search for every
-  later goal against the same assumptions.
+  :class:`IncrementalSatSolver` is append-only: clauses are added to
+  one persistent engine and each query solves under *assumption
+  literals* (MiniSat's ``solve(assumps)``).  The bitvector context
+  asks a goal as the assumption ``¬goal``, so nothing has to be
+  retracted afterwards, and clauses learned on one goal prune the
+  search for every later goal.  The engine backtracks to level 0 in
+  a ``finally``, so an aborted query leaves nothing behind.
 * ``legacy``: the original recursive DPLL, now living in
   :mod:`repro.solvers.reference` as the differential-testing oracle;
-  ``push``/``pop`` is clause-list truncation and every query re-solves
-  from scratch.
+  every query re-solves the clause list plus one unit clause per
+  assumption from scratch.
 
 Nothing is memoised here: the theory session above already answers
 each repeated goal once.
@@ -36,17 +35,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from .backend import FAST, resolve_backend
+from .backend import FAST, CoreCounters, resolve_backend
 from .cdcl import CDCL
 from .reference import dpll_solve
 
 __all__ = ["CNF", "IncrementalSatSolver", "SatResult", "solve", "is_satisfiable"]
 
 CNF = List[List[int]]
-
-#: Selector variables for push/pop frames live far above any variable
-#: the bit-blaster allocates, so the two ranges can both keep growing.
-_SELECTOR_BASE = 1_000_000_000
 
 
 class SatResult:
@@ -92,124 +87,62 @@ def is_satisfiable(
     return solve(cnf, backend=backend).sat
 
 
-class IncrementalSatSolver:
-    """A push/pop clause stack over the selected SAT core.
+class IncrementalSatSolver(CoreCounters):
+    """An append-only clause set decided under assumption literals.
 
     The incremental discipline the bitvector theory context uses: the
-    (large) environment encoding is asserted once, then each goal is
-    checked under a ``push``/``pop`` bracket holding only the negated
-    goal.
+    (large) environment encoding is added once, then each goal is
+    checked as ``check_sat([-goal_lit])``.
 
     Under ``fast`` the incrementality is real solver incrementality:
-    one persistent CDCL engine, frames as assumption selectors, learned
-    clauses surviving across queries.  Under ``legacy`` it is the
-    *translation* that is incremental (the clause list), and DPLL
-    restarts per query.
+    one persistent CDCL engine, learned clauses surviving across
+    queries.  Under ``legacy`` it is the *translation* that is
+    incremental (the clause list), and DPLL restarts per query.
     """
 
-    __slots__ = (
-        "_clauses",
-        "_marks",
-        "max_conflicts",
-        "_backend",
-        "_engine",
-        "_selectors",
-        "_next_selector",
-        "_shared_counters",
-        "_flush_base",
-    )
+    __slots__ = ("_clauses", "max_conflicts", "_backend")
 
     def __init__(
         self, max_conflicts: int = 200_000, backend: Optional[str] = None
     ) -> None:
-        self._clauses: CNF = []
-        self._marks: List[int] = []
-        self.max_conflicts = max_conflicts
         self._backend = resolve_backend(backend)
-        self._engine: Optional[CDCL] = (
-            CDCL() if self._backend == FAST else None
-        )
-        #: one active selector per pushed frame (parallel to ``_marks``)
-        self._selectors: List[int] = []
-        self._next_selector = _SELECTOR_BASE
-        #: shared counter dict (``EngineStats.solver_counters``) and the
-        #: engine-counter snapshot already flushed into it
-        self._shared_counters: Optional[Dict[str, int]] = None
-        self._flush_base: Dict[str, int] = {}
+        super().__init__(CDCL() if self._backend == FAST else None)
+        #: the clause list DPLL re-solves (``legacy`` only)
+        self._clauses: CNF = []
+        self.max_conflicts = max_conflicts
 
     @property
     def backend(self) -> str:
         return self._backend
 
-    def __len__(self) -> int:
-        return len(self._clauses)
-
-    # ------------------------------------------------------------------
-    # counter plumbing
-    # ------------------------------------------------------------------
-    def bind_counters(self, shared: Optional[Dict[str, int]]) -> None:
-        """Flush per-core work counters into ``shared`` after each query."""
-        self._shared_counters = shared
-
-    def _flush(self) -> None:
-        if self._shared_counters is None or self._engine is None:
-            return
-        snapshot = self._engine.counters()
-        base = self._flush_base
-        shared = self._shared_counters
-        for key, value in snapshot.items():
-            delta = value - base.get(key, 0)
-            if delta:
-                shared[key] = shared.get(key, 0) + delta
-        self._flush_base = snapshot
-
-    # ------------------------------------------------------------------
     def add_clause(self, clause: Sequence[int]) -> None:
-        self._clauses.append(list(clause))
-        if self._engine is not None:
-            if self._selectors:
-                # Guarded: active only while this frame's selector is
-                # assumed true; pop retires it with a permanent unit.
-                self._engine.add_clause([-self._selectors[-1], *clause])
-            else:
-                self._engine.add_clause(clause)
+        self.add_clauses((clause,))
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
-        # References are stored as-is: both cores copy clauses on
-        # ingest, and push/pop only truncates this list.
-        if self._engine is None:
+        # References are stored as-is: both cores copy clauses on ingest.
+        if self._engine is not None:
+            self._engine.add_clauses(clauses)
+        else:
             self._clauses.extend(clauses)
-            return
-        for clause in clauses:
-            self.add_clause(clause)
 
-    def push(self) -> None:
-        self._marks.append(len(self._clauses))
-        if self._engine is not None:
-            self._next_selector += 1
-            self._selectors.append(self._next_selector)
-
-    def pop(self) -> None:
-        del self._clauses[self._marks.pop():]
-        if self._engine is not None:
-            selector = self._selectors.pop()
-            # Permanently deactivate the frame's guarded clauses.
-            self._engine.add_clause([-selector])
-
-    def check_sat(self) -> bool:
-        """Is the clause stack satisfiable?
+    def check_sat(self, assumptions: Sequence[int] = ()) -> bool:
+        """Are the clauses satisfiable with every assumption literal true?
 
         Resource exhaustion reports *satisfiable* (cannot refute), the
-        sound direction for refutation-based callers.
+        sound direction for refutation-based callers.  Assumptions hold
+        for this query only, also when it is aborted.
         """
         try:
             if self._engine is not None:
                 sat, _model = self._engine.solve(
-                    assumptions=self._selectors,
+                    assumptions=assumptions,
                     max_conflicts=self.max_conflicts,
                 )
             else:
-                sat, _model, _ = dpll_solve(self._clauses, self.max_conflicts)
+                units = [[lit] for lit in assumptions]
+                sat, _model, _ = dpll_solve(
+                    self._clauses + units, self.max_conflicts
+                )
         except ResourceWarning:
             return True
         finally:
@@ -217,23 +150,8 @@ class IncrementalSatSolver:
         return sat
 
     def check_many(
-        self, extra_clause_sets: Iterable[Iterable[Sequence[int]]]
+        self, assumption_sets: Iterable[Sequence[int]]
     ) -> List[bool]:
-        """Satisfiability under several alternative clause augmentations.
-
-        Each element of ``extra_clause_sets`` is speculatively asserted
-        inside a ``push``/``pop`` bracket over the *same* fixed clause
-        prefix.  The bitvector context passes one set per goal: that
-        goal's Tseitin clauses plus its negation, against the
-        bit-blasted ``[[Γ]]_T`` shared by every goal of the session.
-        Under ``fast`` each bracket is a fresh selector on the same
-        persistent engine, so conflict clauses learned on one goal
-        prune the search for every later one.
-        """
-        results: List[bool] = []
-        for extra in extra_clause_sets:
-            self.push()
-            self.add_clauses(extra)
-            results.append(self.check_sat())
-            self.pop()
-        return results
+        # Kept only while perfbench/layers.py wraps it by name; ROADMAP
+        # item 13 drops it from ``WRAPPED`` and deletes it.
+        return [self.check_sat(assumptions) for assumptions in assumption_sets]

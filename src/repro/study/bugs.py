@@ -349,4 +349,39 @@ BUG_CATALOG: Tuple[BugRecord, ...] = (
         first_seen="fork-site audit (one-shot pools vs WorkerPool)",
         regression_test="tests/test_pipeline_worker_death.py::test_one_shot_check_many_survives_worker_death",
     ),
+    BugRecord(
+        bug_id="RTR-008",
+        title="A deadline inside the SAT core leaves a goal's negation in the session",
+        category="solver",
+        status="fixed",
+        oracle="deadline-sweep",
+        symptom=(
+            "After a request deadline expired inside a bitvector "
+            "goal's CDCL solve, the same engine proved num ≤ 3 from "
+            "0 ≤ num ≤ 255: 188 false proofs in 189 cancelled trials "
+            "of a 400-trial sweep of deadlines from 0.2 to 4.1 ms. "
+            "Logic._proves_miss then stored the wrong True in its memo "
+            "and in any attached persistent cache."
+        ),
+        root_cause=(
+            "The SAT facade asked each goal inside a push/check/pop "
+            "frame with no finally: the cancellation raised out of the "
+            "solve, pop never ran, and the frame's selector (the "
+            "negated goal) stayed active in the cached theory session, "
+            "so every later goal was refuted against an unsatisfiable "
+            "Γ ∧ ¬goal.  Goals are now SAT assumptions on an "
+            "append-only solver (check_sat([-goal])), which hold for "
+            "one query only; the push/pop frames and the encoder "
+            "rollback are gone.  The chaos stall injector never finds "
+            "this bug: it wraps the theory dispatch seam, so it cancels "
+            "before any solver core runs."
+        ),
+        repro=(
+            "Γ = 0 ≤ num ≤ 255; cancel a Budget(stride=1) on entry to "
+            "CDCL.solve while proving ((2·num) AND 0xFF) XOR 0x1B ≤ 255; "
+            "then logic.proves(env, num ≤ 3)"
+        ),
+        first_seen="request-deadline sweep over one cached engine (400 trials)",
+        regression_test="tests/test_budget.py::TestLogicBudgeted::test_cancel_inside_sat_core_leaves_no_false_proof",
+    ),
 )

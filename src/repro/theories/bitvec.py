@@ -214,10 +214,9 @@ def _gather_bounds(
 class _Encoder:
     """Encodes objects and atoms against a :class:`BitBlaster`.
 
-    Supports mark/rollback so a speculative encoding (a goal's Tseitin
-    clauses) can be retracted: entries cached after :meth:`mark` are
-    forgotten by :meth:`release`, keeping the cache consistent with a
-    truncated clause list.
+    Each object is encoded once: the cache maps it to its bits (or to
+    ``None`` when it cannot be grounded), so every later atom that
+    mentions it reuses the same literals.
     """
 
     def __init__(self, blaster: BitBlaster, bounds: _Bounds, width: int):
@@ -225,14 +224,6 @@ class _Encoder:
         self.bounds = bounds
         self.width = width
         self._cache: Dict[Obj, Optional[Bits]] = {}
-        self._order: List[Obj] = []
-
-    def mark(self) -> int:
-        return len(self._order)
-
-    def release(self, mark: int) -> None:
-        while len(self._order) > mark:
-            self._cache.pop(self._order.pop(), None)
 
     def _fits(self, obj: Union[Obj, int]) -> bool:
         peak = self.bounds.max_value(obj)
@@ -246,7 +237,6 @@ class _Encoder:
         if obj in self._cache:
             return self._cache[obj]
         self._cache[obj] = None  # cycle guard
-        self._order.append(obj)
         bits = self._encode_obj(obj)
         self._cache[obj] = bits
         return bits
@@ -372,21 +362,25 @@ class _Encoder:
 
 
 class BitvectorContext(TheoryContext):
-    """Incremental bitvector context: Γ is bit-blasted once, goals ride
-    a push/pop clause stack.
+    """Incremental bitvector context: Γ is bit-blasted once, each goal
+    is one SAT query under the assumption ``¬goal``.
 
     The one-shot path re-runs the range analysis and re-encodes every
     assumption for *each* goal.  This context instead keeps a
-    persistent :class:`BitBlaster`/encoder pair and an
-    :class:`~repro.solvers.sat.IncrementalSatSolver`: assumption
-    clauses are asserted once, and each goal's (conservative Tseitin)
-    definition clauses plus its negated-goal unit live inside a
-    ``push``/``pop`` bracket of the solver.  An assertion after a query
-    drops the range analysis and the encoding, which are rebuilt lazily
-    on the next query.
+    persistent :class:`BitBlaster`/encoder pair and an append-only
+    :class:`~repro.solvers.sat.IncrementalSatSolver`.  A goal is
+    encoded into the shared blaster and kept there; the solver gets the
+    clauses added since its last feed and is asked to satisfy Γ with
+    the goal literal false.  Keeping a goal's encoding adds no
+    constraint: every gate defines a fresh variable by both directions
+    of its Tseitin definition, and the only unit clauses an encoding
+    adds are the ``o ≤ hi`` range facts read from Γ.  So later goals
+    reuse its cached subterms, and an aborted query leaves nothing
+    behind.  An assertion after a query drops the range analysis and
+    the encoding, which are rebuilt lazily on the next query.
     """
 
-    __slots__ = ("theory", "_props", "_bounds", "_encoded", "_counters")
+    __slots__ = ("theory", "_props", "_bounds", "_encoded", "_fed", "_counters")
 
     def __init__(self, theory: BitvectorTheory) -> None:
         self.theory = theory
@@ -394,7 +388,11 @@ class BitvectorContext(TheoryContext):
         #: lazily built range analysis over the current assumptions
         self._bounds: Optional[_Bounds] = None
         #: lazily built (blaster, encoder, solver)
-        self._encoded: Optional[list] = None
+        self._encoded: Optional[
+            Tuple[BitBlaster, _Encoder, IncrementalSatSolver]
+        ] = None
+        #: how many of the blaster's clauses the solver has been given
+        self._fed = 0
         #: shared solver-counter dict (``EngineStats.solver_counters``)
         self._counters: Optional[Dict[str, int]] = None
 
@@ -443,7 +441,9 @@ class BitvectorContext(TheoryContext):
             return True
         return False
 
-    def _ensure_encoded(self) -> list:
+    def _ensure_encoded(
+        self,
+    ) -> Tuple[BitBlaster, _Encoder, IncrementalSatSolver]:
         if self._encoded is None:
             bounds = self._ensure_bounds()
             blaster = BitBlaster()
@@ -456,8 +456,8 @@ class BitvectorContext(TheoryContext):
                             blaster.assert_lit(lit)
             solver = IncrementalSatSolver(backend=self.theory.solver_backend)
             solver.bind_counters(self._counters)
-            solver.add_clauses(blaster.clauses)
-            self._encoded = [blaster, encoder, solver]
+            self._encoded = (blaster, encoder, solver)
+            self._fed = 0
         return self._encoded
 
     def entails(self, goal: TheoryProp) -> bool:
@@ -468,22 +468,11 @@ class BitvectorContext(TheoryContext):
         return self._decide_encoded(goal)
 
     def _decide_encoded(self, goal: TheoryProp) -> bool:
-        """Refute ``¬goal`` against the shared assumption encoding.
-
-        The goal encoding is speculative: its Tseitin clauses are
-        captured and then retracted from the shared blaster and
-        encoder, so successive goals never pay for each other's
-        clauses.  The solver sees them, plus the ¬goal unit, inside one
-        push/pop bracket over the assumption clauses.
-        """
+        """Refute ``¬goal`` against the shared encoding, as an assumption."""
         blaster, encoder, solver = self._ensure_encoded()
-        clause_mark = len(blaster.clauses)
-        encoder_mark = encoder.mark()
         goal_lit = encoder.encode_prop(goal)
-        extra = [list(clause) for clause in blaster.clauses[clause_mark:]]
-        del blaster.clauses[clause_mark:]
-        encoder.release(encoder_mark)
         if goal_lit is None:
             return False  # goal not groundable after all: decline
-        extra.append([-goal_lit])
-        return not solver.check_many([extra])[0]
+        solver.add_clauses(blaster.clauses[self._fed:])
+        self._fed = len(blaster.clauses)
+        return not solver.check_sat([-goal_lit])

@@ -21,8 +21,14 @@ from repro.budget import (
 )
 from repro.checker.check import Checker
 from repro.checker.errors import CheckError
+from repro.logic.env import Env
 from repro.logic.prove import Logic
+from repro.solvers.cdcl import CDCL
 from repro.syntax.parser import parse_program
+from repro.theories.registry import default_registry
+from repro.tr.objects import BVExpr, Var, lin_scale, obj_int
+from repro.tr.props import BVProp, IsType, lin_le
+from repro.tr.types import INT
 
 THEORY_HEAVY = """
 (: clamp : [x : Int] [y : Int]
@@ -170,6 +176,36 @@ class TestLogicBudgeted:
         warm = Checker(logic=logic).check_program(parse_program(THEORY_HEAVY))
         fresh = Checker(logic=Logic()).check_program(parse_program(THEORY_HEAVY))
         assert set(warm) == set(fresh)
+
+    def test_cancel_inside_sat_core_leaves_no_false_proof(self, monkeypatch):
+        """RTR-008: a budget cancelled inside the CDCL search must not
+        leave the goal's negation active in the cached theory session,
+        or the same engine proves ``num ≤ 3`` from ``0 ≤ num ≤ 255``."""
+        num = Var("num")
+        logic = Logic(registry=default_registry(backend="fast"))
+        env = Env()
+        for prop in (
+            IsType(num, INT),
+            lin_le(obj_int(0), num),
+            lin_le(num, obj_int(255)),
+        ):
+            env = logic.extend(env, prop)
+        doubled = BVExpr("and", (lin_scale(2, num), 0xFF), 8)
+        xtime = BVProp("≤", BVExpr("xor", (doubled, 0x1B), 8), obj_int(255), 8)
+        budget = Budget(stride=1)
+        solve = CDCL.solve
+
+        def cancel_on_entry(engine, *args, **kwargs):
+            budget.cancel("deadline inside the SAT core")
+            return solve(engine, *args, **kwargs)
+
+        monkeypatch.setattr(CDCL, "solve", cancel_on_entry)
+        with pytest.raises(CancelledError):
+            with logic.budgeted(budget):
+                logic.proves(env, xtime)
+        monkeypatch.undo()
+        assert logic.proves(env, lin_le(num, obj_int(3))) is False
+        assert logic.proves(env, xtime) is True
 
     def test_ill_typed_still_rejected_under_budget(self):
         checker = Checker(logic=Logic())

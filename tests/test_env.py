@@ -106,14 +106,6 @@ class TestFactPropagationAcrossAliases:
 
 
 class TestTheoryCache:
-    def test_cache_built_lazily_and_reused(self):
-        env = LOGIC.extend(Env(), IsType(x, INT))
-        env = LOGIC.extend(env, lin_le(x, obj_int(5)))
-        assert env._theory_cache is None
-        first = LOGIC.theory_assumptions(env)
-        assert env._theory_cache is not None
-        assert LOGIC.theory_assumptions(env) is first
-
     def test_cache_not_shared_across_snapshots(self):
         env = LOGIC.extend(Env(), lin_le(x, obj_int(5)))
         LOGIC.theory_assumptions(env)

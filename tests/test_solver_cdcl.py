@@ -162,36 +162,35 @@ class TestAgreement:
 
 
 class TestIncrementalFacade:
-    def test_push_pop_matches_fresh_solves(self):
+    @pytest.mark.parametrize("backend", ["fast", "legacy"])
+    def test_assumptions_match_fresh_solves(self, backend):
         rng = random.Random(5)
         for _ in range(25):
             base = random_cnf(rng, 9, 18)
-            extra = random_cnf(rng, 9, 6)
-            inc = IncrementalSatSolver(backend="fast")
-            for clause in base:
-                inc.add_clause(clause)
+            inc = IncrementalSatSolver(backend=backend)
+            inc.add_clauses(base)
             baseline = inc.check_sat()
-            inc.push()
-            for clause in extra:
-                inc.add_clause(clause)
-            combined = inc.check_sat()
-            inc.pop()
-            ref_base = ref_verdict(base)
-            ref_comb = ref_verdict(base + extra)
-            assert baseline == ref_base
-            assert combined == ref_comb
-            assert inc.check_sat() == ref_base  # pop really retracted
+            for _ in range(3):
+                assumed = [
+                    v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, 10), rng.randint(1, 4))
+                ]
+                units = [[lit] for lit in assumed]
+                assert inc.check_sat(assumed) == ref_verdict(base + units)
+            assert baseline == ref_verdict(base)
+            assert inc.check_sat() == baseline  # assumptions never persist
 
-    def test_learned_clauses_survive_pop(self):
-        # solving under a pushed frame then popping must not corrupt
-        # later answers (selector units retire the frame's clauses)
-        inc = IncrementalSatSolver(backend="fast")
+    @pytest.mark.parametrize("backend", ["fast", "legacy"])
+    def test_clauses_added_after_an_assumption_query(self, backend):
+        # clauses learned under an assumption must not corrupt later
+        # answers, with or without assumptions, as clauses keep coming
+        inc = IncrementalSatSolver(backend=backend)
         inc.add_clause([1, 2])
-        inc.push()
-        inc.add_clause([-1])
-        inc.add_clause([-2])
-        assert inc.check_sat() is False
-        inc.pop()
+        assert inc.check_sat([-1, -2]) is False
+        assert inc.check_sat() is True
+        inc.add_clause([-1, 3])
+        assert inc.check_sat([-2, -3]) is False
+        assert inc.check_sat([-2]) is True
         assert inc.check_sat() is True
 
     def test_resource_budget_raises(self):

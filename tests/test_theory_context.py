@@ -11,6 +11,9 @@ underneath.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.budget import JobCancelled
+from repro.solvers import sat as sat_module
+from repro.solvers.cdcl import CDCL
 from repro.solvers.linear import (
     SAT,
     UNSAT,
@@ -95,6 +98,12 @@ class TestCongruenceContext:
         assert not ctx.entails(leq(x, obj_int(0)))
 
 
+def _xtime_goal(num):
+    """AES ``xtime``'s result stays a byte: ((2·num) AND 0xFF) XOR 0x1B ≤ 255."""
+    doubled = BVExpr("and", (lin_scale(2, num), 0xFF), 8)
+    return BVProp("≤", BVExpr("xor", (doubled, 0x1B), 8), obj_int(255), 8)
+
+
 class TestBitvectorContext:
     def _byte_facts(self, var):
         return [leq(obj_int(0), var), leq(var, obj_int(255))]
@@ -128,6 +137,35 @@ class TestBitvectorContext:
         ctx = BitvectorTheory().context()
         # No range facts for x: the encoding must decline, not guess.
         assert not ctx.entails(BVProp("≤", x, obj_int(255), 8))
+
+    @pytest.mark.parametrize("backend", ["fast", "legacy"])
+    def test_cancelled_goal_leaves_no_negation_behind(self, backend, monkeypatch):
+        """A request cancelled inside the SAT core must not leave the
+        goal's negation active: ``0 ≤ num ≤ 255`` never proves
+        ``num ≤ 3``, whatever was aborted before."""
+        if backend == "fast":
+            owner, name = CDCL, "solve"
+        else:
+            owner, name = sat_module, "dpll_solve"
+        core = getattr(owner, name)
+        calls = []
+
+        def cancel_first(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise JobCancelled("cancelled inside the SAT core")
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, cancel_first)
+        num = Var("num")
+        ctx = BitvectorTheory(backend=backend).context()
+        for fact in self._byte_facts(num):
+            ctx.assert_prop(fact)
+        with pytest.raises(JobCancelled):
+            ctx.entails(_xtime_goal(num))
+        assert ctx.entails(leq(num, obj_int(3))) is False
+        assert ctx.entails(_xtime_goal(num)) is True
+        assert len(calls) == 3
 
 
 class TestRegistrySession:
@@ -179,7 +217,6 @@ class TestIncrementalConstraintSet:
         con = Constraint.make({"x": 1}, -5)
         cs.add(con)
         cs.add(con)
-        assert len(cs) == 1
         goal = Constraint.make({"x": 1}, -10)
         assert cs.entails(goal) == fm_entails([con], goal)
 
@@ -192,25 +229,22 @@ class TestIncrementalConstraintSet:
         assert cs.entails(Constraint.make({"x": -1}, 99))  # ex falso
 
 
+@pytest.mark.parametrize("backend", ["fast", "legacy"])
 class TestIncrementalSatSolver:
-    def test_push_pop(self):
-        solver = IncrementalSatSolver()
+    def test_assumptions_hold_for_one_query(self, backend):
+        solver = IncrementalSatSolver(backend=backend)
         solver.add_clause([1, 2])
         assert solver.check_sat()
-        solver.push()
-        solver.add_clause([-1])
-        solver.add_clause([-2])
-        assert not solver.check_sat()
-        solver.pop()
+        assert not solver.check_sat([-1, -2])
         assert solver.check_sat()
 
-    def test_memo_survives_no_op_frames(self):
-        solver = IncrementalSatSolver()
+    def test_contradicted_assumption_leaves_clauses_usable(self, backend):
+        solver = IncrementalSatSolver(backend=backend)
         solver.add_clause([1])
-        assert solver.check_sat()
-        solver.push()
-        solver.pop()
-        assert solver.check_sat()
+        assert not solver.check_sat([-1])
+        solver.add_clause([2])
+        assert solver.check_sat([1, 2])
+        assert not solver.check_sat([-2])
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +319,9 @@ def test_context_answers_as_one_shot_entails(name):
         theory = make_theory()
         assumptions = [p for p in assumptions if isinstance(p, TheoryProp)]
         goals = [g for g in goals if isinstance(g, TheoryProp)]
+        # every goal twice: later goals meet the kept encodings of
+        # earlier ones, which must not change any answer
+        goals = goals + goals
         expected = [theory.entails(assumptions, goal) for goal in goals]
         ctx = theory.context()
         for prop in assumptions:
